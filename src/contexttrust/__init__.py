@@ -1,121 +1,25 @@
-"""Weighted ontology trees, co-occurrence similarity, and cross-context trust prediction."""
+"""Weighted ontology trees, co-occurrence similarity, and cross-context trust prediction.
 
-from .dataset import (
-    ContextRatings,
-    Review,
-    TrustProfile,
-    build_profiles,
-    filter_profiles,
-    parse_reviews,
-    serialize_reviews,
-)
+The names below are the ones the README's library example uses; everything
+else is imported from its submodule.
+"""
+
+from .dataset import build_profiles, load_reviews
 from .errors import ContextTrustError
-from .evaluation import (
-    ComparisonReport,
-    EvaluationRecord,
-    error_percentage,
-    pearson,
-    rate_difference,
-    report_to_csv,
-    run_comparison,
-)
-from .ontology import (
-    ConceptNode,
-    EdgeAnnotation,
-    NodePath,
-    OntologyTree,
-    dump_tree,
-    intermediate_count,
-    load_tree,
-    parse_tree,
-    path_between,
-    root_path,
-    save_tree,
-    weigh_tree,
-)
-from .semantic import (
-    CachedProvider,
-    CorpusProvider,
-    CountProvider,
-    HitCounts,
-    PairCache,
-    ProviderConfig,
-    RemoteProvider,
-    StaticTableProvider,
-    corpus_counts,
-    fetch_counts,
-    load_provider_config,
-    make_provider,
-    ngd,
-    nss,
-)
-from .similarity import (
-    KeywordContext,
-    PathMode,
-    TaskContext,
-    inverse_distance_similarity,
-    keyword_similarity,
-    shared_path_ratio,
-    task_similarity,
-    tree_similarity,
-    weighted_path_similarity,
-)
-from .trust import TrustPrediction, predict_for_pair, predict_trust
+from .ontology import load_tree, weigh_tree
+from .semantic import StaticTableProvider
+from .similarity import PathMode
+from .trust import predict_for_pair
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CachedProvider",
-    "ComparisonReport",
-    "ConceptNode",
-    "ContextRatings",
     "ContextTrustError",
-    "CorpusProvider",
-    "CountProvider",
-    "EdgeAnnotation",
-    "EvaluationRecord",
-    "HitCounts",
-    "KeywordContext",
-    "NodePath",
-    "OntologyTree",
-    "PairCache",
     "PathMode",
-    "ProviderConfig",
-    "RemoteProvider",
-    "Review",
     "StaticTableProvider",
-    "TaskContext",
-    "TrustPrediction",
-    "TrustProfile",
     "build_profiles",
-    "corpus_counts",
-    "dump_tree",
-    "error_percentage",
-    "fetch_counts",
-    "filter_profiles",
-    "intermediate_count",
-    "inverse_distance_similarity",
-    "keyword_similarity",
-    "load_provider_config",
+    "load_reviews",
     "load_tree",
-    "make_provider",
-    "ngd",
-    "nss",
-    "parse_reviews",
-    "parse_tree",
-    "path_between",
-    "pearson",
     "predict_for_pair",
-    "predict_trust",
-    "rate_difference",
-    "report_to_csv",
-    "root_path",
-    "run_comparison",
-    "save_tree",
-    "serialize_reviews",
-    "shared_path_ratio",
-    "task_similarity",
-    "tree_similarity",
     "weigh_tree",
-    "weighted_path_similarity",
 ]

@@ -18,6 +18,7 @@ import csv
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,13 +28,20 @@ from .similarity import ALL_MEASURES, PathMode, TREE_MEASURES
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
+    # A unique sibling name: no reader sees a partial file, no other file is clobbered.
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes 0600; keep a plain write's mode
+            handle.write(text)
+            handle.flush()
+            os.fsync(fd)
         os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
 
 
 def _build_provider(args: argparse.Namespace) -> semantic.CountProvider:
@@ -52,7 +60,7 @@ def _load_profiles(args: argparse.Namespace) -> dict[str, dataset.TrustProfile]:
         else:
             seller, path = Path(spec).stem, spec
         reviews_by_seller.setdefault(seller, []).extend(
-            dataset.parse_reviews(Path(path), seller=seller)
+            dataset.load_reviews(path, seller=seller)
         )
     profiles = dataset.build_profiles(reviews_by_seller)
     return dataset.filter_profiles(profiles, args.min_contexts, args.min_ratings)
@@ -229,10 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContextTrustError as exc:
-        print(f"contexttrust: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ContextTrustError, OSError) as exc:
         print(f"contexttrust: {exc}", file=sys.stderr)
         return 1
 

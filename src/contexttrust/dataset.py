@@ -49,19 +49,12 @@ class TrustProfile:
         return self.contexts[context].aggregate
 
 
-def parse_reviews(source: str | Path, seller: str = "") -> list[Review]:
-    """Parse one review CSV into Reviews, in document order.
+def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list[Review]:
+    """Parse review CSV text into Reviews, in document order.
 
-    ``source`` may be a path or the raw CSV text itself (anything containing
-    a newline is treated as text).
+    ``source`` names the text in error messages.
     """
-    if isinstance(source, Path) or "\n" not in source:
-        text = Path(source).read_text(encoding="utf-8-sig")
-        label = str(source)
-    else:
-        text = source
-        label = "<string>"
-    prefix = f"{label} (seller {seller})" if seller else label
+    prefix = f"{source} (seller {seller})" if seller else source
 
     reader = csv.reader(io.StringIO(text))
     try:
@@ -94,6 +87,12 @@ def parse_reviews(source: str | Path, seller: str = "") -> list[Review]:
             raise RowError(f"{prefix}: row {number}: rate {rate} outside 1..5")
         reviews.append(Review(context, rate, date, description, link))
     return reviews
+
+
+def load_reviews(path: str | Path, seller: str = "") -> list[Review]:
+    """Read and parse one review CSV file (a leading BOM is ignored)."""
+    path = Path(path)
+    return parse_reviews(path.read_text(encoding="utf-8-sig"), seller=seller, source=str(path))
 
 
 def serialize_reviews(reviews: Sequence[Review]) -> str:

@@ -12,7 +12,7 @@ new one, so concurrent reads need no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -26,18 +26,6 @@ from .errors import (
 from .semantic import DEFAULT_EPSILON, CountProvider, nss
 
 Edge = tuple[str, str]
-
-
-@dataclass(frozen=True)
-class ConceptNode:
-    """One concept (context) in the tree."""
-
-    id: str
-    label: str
-
-    def __post_init__(self) -> None:
-        if not self.label.strip():
-            raise TreeValidationError("node label is empty")
 
 
 @dataclass(frozen=True)
@@ -55,7 +43,7 @@ class NodePath:
 @dataclass(frozen=True)
 class OntologyTree:
     root: str
-    nodes: dict[str, ConceptNode]
+    nodes: frozenset[str]
     parents: dict[str, str]
     children: dict[str, tuple[str, ...]]
     weights: dict[Edge, Optional[float]]
@@ -75,20 +63,22 @@ class OntologyTree:
             raise TreeValidationError(
                 f"isolated root {lone_root!r} declared alongside edges"
             )
-        if lone_root is not None:
-            node = ConceptNode(lone_root, lone_root)
-            return cls(root=lone_root, nodes={lone_root: node}, parents={}, children={}, weights={})
-        if not edge_list:
+        # Document order, so that error messages list nodes stably.
+        names = [lone_root] if lone_root is not None else [
+            name for parent, child, _ in edge_list for name in (parent, child)
+        ]
+        if not names:
             raise TreeValidationError("tree has no nodes")
+        if any(not name.strip() for name in names):
+            raise TreeValidationError("node label is empty")
+        nodes = frozenset(names)
+        if lone_root is not None:
+            return cls(root=lone_root, nodes=nodes, parents={}, children={}, weights={})
 
-        nodes: dict[str, ConceptNode] = {}
         parents: dict[str, str] = {}
         children: dict[str, list[str]] = {}
         weights: dict[Edge, Optional[float]] = {}
         for parent, child, weight in edge_list:
-            for name in (parent, child):
-                if name not in nodes:
-                    nodes[name] = ConceptNode(name, name)
             if parent == child:
                 raise TreeValidationError(f"self-loop on node {parent!r}")
             if child in parents:
@@ -104,7 +94,7 @@ class OntologyTree:
             children.setdefault(parent, []).append(child)
             weights[(parent, child)] = weight
 
-        roots = [name for name in nodes if name not in parents]
+        roots = [name for name in dict.fromkeys(names) if name not in parents]
         if not roots:
             raise TreeValidationError("no root: every node has a parent (cycle)")
         if len(roots) > 1:
@@ -118,7 +108,7 @@ class OntologyTree:
             reachable.add(name)
             frontier.extend(children.get(name, ()))
         if len(reachable) != len(nodes):
-            missing = sorted(set(nodes) - reachable)
+            missing = sorted(nodes - reachable)
             raise TreeValidationError(
                 f"nodes unreachable from root {root!r}: {', '.join(repr(n) for n in missing)}"
             )
@@ -139,20 +129,6 @@ class OntologyTree:
         if node_id not in self.nodes:
             raise UnknownNodeError(f"unknown node {node_id!r}")
         return node_id
-
-    def find_node(self, text: str, ignore_case: bool = False) -> str:
-        """Resolve a label to a node id; optionally case-insensitive."""
-        if text in self.nodes:
-            return text
-        if ignore_case:
-            matches = [name for name in self.nodes if name.lower() == text.lower()]
-            if len(matches) == 1:
-                return matches[0]
-            if len(matches) > 1:
-                raise UnknownNodeError(
-                    f"label {text!r} is ambiguous case-insensitively: {matches}"
-                )
-        raise UnknownNodeError(f"unknown node {text!r}")
 
 
 def parse_tree(text: str, source: str = "<string>") -> OntologyTree:
@@ -196,7 +172,7 @@ def parse_tree(text: str, source: str = "<string>") -> OntologyTree:
 def load_tree(path: str | Path) -> OntologyTree:
     """Load and validate a tree document from a file."""
     path = Path(path)
-    return parse_tree(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_tree(path.read_text(encoding="utf-8-sig"), source=str(path))
 
 
 def dump_tree(tree: OntologyTree) -> str:
@@ -210,10 +186,6 @@ def dump_tree(tree: OntologyTree) -> str:
         else:
             lines.append(f"{parent}\t{child}\t{weight!r}")
     return "\n".join(lines) + "\n"
-
-
-def save_tree(tree: OntologyTree, path: str | Path) -> None:
-    Path(path).write_text(dump_tree(tree), encoding="utf-8")
 
 
 def root_path(tree: OntologyTree, a: str) -> list[str]:
@@ -278,9 +250,8 @@ def weigh_tree(
     weights: dict[Edge, Optional[float]] = {}
     annotations: list[EdgeAnnotation] = []
     for parent, child, _ in tree.edge_list():
-        pair = (tree.nodes[parent].label, tree.nodes[child].label)
         try:
-            counts = provider.counts(*pair)
+            counts = provider.counts(parent, child)
         except ContextTrustError as exc:
             raise type(exc)(f"edge ({parent!r} -> {child!r}): {exc}") from exc
         except Exception as exc:
@@ -294,11 +265,4 @@ def weigh_tree(
         weights[(parent, child)] = weight
         if weight == epsilon:
             annotations.append(EdgeAnnotation(parent, child, "similarity clamped to floor"))
-    reweighted = OntologyTree(
-        root=tree.root,
-        nodes=dict(tree.nodes),
-        parents=dict(tree.parents),
-        children=dict(tree.children),
-        weights=weights,
-    )
-    return reweighted, annotations
+    return replace(tree, weights=weights), annotations

@@ -167,9 +167,6 @@ class PairCache:
         if self.path is not None and self.path.exists():
             self._entries.update(read_counts_table(self.path))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, x: str, y: str) -> Optional[HitCounts]:
         key = _pair_key(x, y)
         counts = self._entries.get(key)
@@ -456,14 +453,3 @@ def make_provider(
         )
     raise ConfigError(f"unknown provider kind {config.kind!r}")
 
-
-def fetch_counts(
-    provider: CountProvider,
-    x: str,
-    y: str,
-    cache: Optional[PairCache] = None,
-) -> HitCounts:
-    """Counts for a pair, via the cache when one is given."""
-    if cache is None:
-        return provider.counts(x, y)
-    return CachedProvider(provider, cache).counts(x, y)

@@ -16,18 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, chain_tree, random_tree, tree_with_pair, valid_hit_counts
+from helpers import DATA_DIR, chain_tree, random_tree, tree_with_pair, valid_hit_counts
 from contexttrust.cli import main as cli_main
-from contexttrust.dataset import Review, build_profiles, filter_profiles, parse_reviews
+from contexttrust.dataset import Review, build_profiles, filter_profiles, load_reviews
 from contexttrust.errors import DegenerateInputError
 from contexttrust.evaluation import error_percentage, pearson, run_comparison
 from contexttrust.ontology import load_tree, parse_tree, dump_tree, weigh_tree
 from contexttrust.semantic import (
+    CachedProvider,
     CorpusProvider,
     HitCounts,
     PairCache,
     StaticTableProvider,
-    fetch_counts,
     ngd,
     nss,
 )
@@ -140,12 +140,11 @@ def test_criterion_04_corpus_provider_matches_brute_force():
             "backpack", "router cable", "laptop computer", "new keyboard",
             "missingword",
         ]
-        provider = CorpusProvider(corpus)
-        cache = PairCache()
+        provider = CachedProvider(CorpusProvider(corpus), PairCache())
         rng = random.Random(92)
         for _ in range(100):
             x, y = rng.choice(vocabulary), rng.choice(vocabulary)
-            counts = fetch_counts(provider, x, y, cache)
+            counts = provider.counts(x, y)
             fx, fy = _scan_oracle(corpus, x), _scan_oracle(corpus, y)
             assert counts.fx == fx
             assert counts.fy == fy
@@ -179,7 +178,7 @@ def test_criterion_06_error_percentage_goldens():
 
 def test_criterion_07_review_ingestion_golden():
     with criterion(7, "ten bundled laptop rows parse to the known rates, mean 2.9"):
-        reviews = parse_reviews(DATA_DIR / "laptop_reviews.csv")
+        reviews = load_reviews(DATA_DIR / "laptop_reviews.csv")
         assert [r.rate for r in reviews] == [4, 5, 1, 3, 1, 5, 1, 1, 4, 4]
         profile = build_profiles({"seller": reviews})["seller"]
         assert profile.aggregate("Laptop") == 2.9
@@ -197,7 +196,7 @@ def test_criterion_08_weighted_beats_inverse_distance_on_fixture():
         profiles = filter_profiles(
             build_profiles(
                 {
-                    seller: parse_reviews(EVALFIX / f"{seller}.csv", seller=seller)
+                    seller: load_reviews(EVALFIX / f"{seller}.csv", seller=seller)
                     for seller in ("techmart", "pageturner", "allgoods")
                 }
             ),

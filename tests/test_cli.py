@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
+import stat
 
-from conftest import DATA_DIR
+from helpers import DATA_DIR
 from contexttrust.cli import main
 
 EVALFIX = DATA_DIR / "evalfix"
@@ -263,6 +265,21 @@ def test_eval_runs_are_byte_identical(capsys, tmp_path):
     assert run(capsys, *eval_args(tree, first))[0] == 0
     assert run(capsys, *eval_args(tree, second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_eval_write_spares_tmp_file_and_keeps_mode(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    report_path = tmp_path / "report.csv"
+    user_file = tmp_path / "report.csv.tmp"
+    user_file.write_text("keep me\n", encoding="utf-8")
+    assert run(capsys, *eval_args(tree, report_path))[0] == 0
+    assert user_file.read_text(encoding="utf-8") == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report.csv", "report.csv.tmp", "weighted.tsv"
+    ]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(report_path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_eval_empty_pairs_writes_header_only(capsys, tmp_path):

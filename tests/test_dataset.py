@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
+from helpers import DATA_DIR
 from contexttrust.dataset import (
     Review,
     build_profiles,
     filter_profiles,
+    load_reviews,
     parse_reviews,
     serialize_reviews,
 )
@@ -22,7 +23,7 @@ def make_reviews(context, rates):
 # --- parsing -----------------------------------------------------------------
 
 def test_parse_bundled_laptop_file():
-    reviews = parse_reviews(DATA_DIR / "laptop_reviews.csv", seller="acme")
+    reviews = load_reviews(DATA_DIR / "laptop_reviews.csv", seller="acme")
     assert len(reviews) == 10
     assert [r.rate for r in reviews] == [4, 5, 1, 3, 1, 5, 1, 1, 4, 4]
     assert all(r.context == "Laptop" for r in reviews)
@@ -32,6 +33,7 @@ def test_parse_bundled_laptop_file():
 
 def test_parse_header_only_gives_empty_list():
     assert parse_reviews(HEADER) == []
+    assert parse_reviews(HEADER.rstrip("\n")) == []  # one line of text, not a file name
 
 
 def test_parse_rejects_wrong_header():
@@ -73,7 +75,7 @@ def test_error_messages_carry_seller():
 # --- profiles ------------------------------------------------------------------
 
 def test_laptop_aggregate_is_mean():
-    reviews = parse_reviews(DATA_DIR / "laptop_reviews.csv")
+    reviews = load_reviews(DATA_DIR / "laptop_reviews.csv")
     profiles = build_profiles({"acme": reviews})
     assert profiles["acme"].aggregate("Laptop") == pytest.approx(2.9)
 
@@ -188,14 +190,14 @@ contexts = st.text(alphabet="ABCabc xyz", min_size=1, max_size=12).filter(
 def test_parse_serialize_round_trip(rows):
     reviews = [Review(c, r, d, t, l) for c, r, d, t, l in rows]
     text = serialize_reviews(reviews)
-    reparsed = parse_reviews(text) if "\n" in text else []
+    reparsed = parse_reviews(text)
     assert [(r.context, r.rate) for r in reparsed] == [(r.context, r.rate) for r in reviews]
     # And a second pass is byte-identical.
     assert serialize_reviews(reparsed) == text
 
 
 def test_round_trip_bundled_file_bytes():
-    reviews = parse_reviews(DATA_DIR / "laptop_reviews.csv")
+    reviews = load_reviews(DATA_DIR / "laptop_reviews.csv")
     text = serialize_reviews(reviews)
     assert parse_reviews(text) == reviews
     assert (DATA_DIR / "laptop_reviews.csv").read_text(encoding="utf-8") == text

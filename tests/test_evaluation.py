@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import chain_tree
+from helpers import chain_tree
 from contexttrust.dataset import Review, build_profiles
 from contexttrust.errors import (
     ArityError,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import brute_force_unique_path, random_tree, tree_with_pair
+from helpers import brute_force_unique_path, random_tree, tree_with_pair
 from contexttrust.errors import (
     MissingPairError,
     TreeParseError,
@@ -138,18 +138,20 @@ def test_round_trip_preserves_weights():
     assert parse_tree(dump_tree(tree)) == tree
 
 
-def test_find_node_case_flag(cs_tree):
-    assert cs_tree.find_node("Java") == "Java"
-    assert cs_tree.find_node("java", ignore_case=True) == "Java"
-    with pytest.raises(UnknownNodeError):
-        cs_tree.find_node("java")
-
-
-def test_find_node_ambiguous_case_fold():
+def test_node_names_are_case_sensitive():
     tree = parse_tree("root\tJava\nroot\tJAVA\n")
-    assert tree.find_node("JAVA") == "JAVA"
-    with pytest.raises(UnknownNodeError, match="ambiguous"):
-        tree.find_node("java", ignore_case=True)
+    assert tree.nodes == {"root", "Java", "JAVA"}
+    assert tree.require("JAVA") == "JAVA"
+    with pytest.raises(UnknownNodeError):
+        tree.require("java")
+
+
+def test_tree_file_may_start_with_bom(tmp_path):
+    path = tmp_path / "tree.tsv"
+    path.write_text("\ufeffStore\tElectronics\nStore\tBooks\n", encoding="utf-8")
+    tree = load_tree(path)
+    assert tree.root == "Store"
+    assert tree.nodes == {"Store", "Electronics", "Books"}
 
 
 # --- path queries -----------------------------------------------------------

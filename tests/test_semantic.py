@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import valid_hit_counts
+from helpers import valid_hit_counts
 from contexttrust.errors import (
     ConfigError,
     CorpusError,
@@ -24,7 +24,6 @@ from contexttrust.semantic import (
     RemoteProvider,
     StaticTableProvider,
     corpus_counts,
-    fetch_counts,
     load_provider_config,
     make_provider,
     ngd,
@@ -261,9 +260,9 @@ class CountingProvider(CountProvider):
 
 def test_cache_serves_second_call_without_provider(tiny_corpus, tmp_path):
     provider = CountingProvider(CorpusProvider(tiny_corpus))
-    cache = PairCache(tmp_path / "cache.tsv")
-    first = fetch_counts(provider, "laptop", "computer", cache)
-    second = fetch_counts(provider, "laptop", "computer", cache)
+    cached = CachedProvider(provider, PairCache(tmp_path / "cache.tsv"))
+    first = cached.counts("laptop", "computer")
+    second = cached.counts("laptop", "computer")
     assert provider.calls == 1
     assert first == second
 
@@ -285,23 +284,16 @@ def test_cache_persists_across_instances(tmp_path):
 
 def test_warm_cache_equals_cold_cache(tiny_corpus, tmp_path):
     provider = CorpusProvider(tiny_corpus)
-    cold = fetch_counts(provider, "laptop", "phone", PairCache(tmp_path / "c1.tsv"))
-    warm_cache = PairCache(tmp_path / "c2.tsv")
-    fetch_counts(provider, "laptop", "phone", warm_cache)
-    warm = fetch_counts(provider, "laptop", "phone", warm_cache)
+    cold = CachedProvider(provider, PairCache(tmp_path / "c1.tsv")).counts("laptop", "phone")
+    warm_provider = CachedProvider(provider, PairCache(tmp_path / "c2.tsv"))
+    warm_provider.counts("laptop", "phone")
+    warm = warm_provider.counts("laptop", "phone")
     assert cold == warm
 
 
 def test_corpus_provider_matches_direct_scan(tiny_corpus):
     provider = CorpusProvider(tiny_corpus)
     assert provider.counts("laptop", "computer") == corpus_counts(tiny_corpus, "laptop", "computer")
-
-
-def test_fetch_counts_without_cache(tiny_corpus):
-    provider = CountingProvider(CorpusProvider(tiny_corpus))
-    fetch_counts(provider, "laptop", "computer")
-    fetch_counts(provider, "laptop", "computer")
-    assert provider.calls == 2
 
 
 def test_cached_provider_survives_source_removal(tiny_corpus, tmp_path):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_unique_path, chain_tree, tree_with_pair
+from helpers import brute_force_unique_path, chain_tree, tree_with_pair
 from contexttrust.errors import (
     ArityError,
     DomainError,

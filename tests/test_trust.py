@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import chain_tree, tree_with_pair
+from helpers import chain_tree, tree_with_pair
 from contexttrust.dataset import Review, build_profiles
 from contexttrust.errors import DomainError, MissingContextError, UnknownNodeError
 from contexttrust.similarity import PathMode
