@@ -138,6 +138,12 @@ def test_round_trip_preserves_weights():
     assert parse_tree(dump_tree(tree)) == tree
 
 
+def test_require_is_case_sensitive(cs_tree):
+    assert cs_tree.require("Java") == "Java"
+    with pytest.raises(UnknownNodeError):
+        cs_tree.require("java")
+
+
 def test_node_names_are_case_sensitive():
     tree = parse_tree("root\tJava\nroot\tJAVA\n")
     assert tree.nodes == {"root", "Java", "JAVA"}
