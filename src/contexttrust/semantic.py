@@ -19,6 +19,7 @@ import urllib.parse
 import urllib.request
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -115,41 +116,16 @@ def _phrase_pattern(term: str) -> re.Pattern[str]:
     return re.compile(rf"(?<!\w){inner}(?!\w)", re.IGNORECASE | re.UNICODE)
 
 
-def _corpus_files(directory: Path) -> list[Path]:
-    if not directory.is_dir():
-        raise CorpusError(f"corpus directory not found: {directory}")
-    files = sorted(p for p in directory.iterdir() if p.is_file())
-    if not files:
-        raise CorpusError(f"corpus directory is empty: {directory}")
-    return files
+def _pair_key(x: str, y: str) -> tuple[tuple[str, str], bool]:
+    """A pair's table key (normalized terms in sorted order), and whether x sorts second."""
+    a, b = x.strip().lower(), y.strip().lower()
+    return ((b, a), True) if b < a else ((a, b), False)
 
 
-def corpus_counts(directory: str | Path, x: str, y: str) -> HitCounts:
-    """Count documents in a directory containing x, y, and both.
-
-    A document matches when the term occurs as a case-insensitive whole-word
-    token (contiguous phrase for multi-word terms).
-    """
-    files = _corpus_files(Path(directory))
-    pattern_x = _phrase_pattern(x)
-    pattern_y = _phrase_pattern(y)
-    fx = fy = fxy = 0
-    for path in files:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CorpusError(f"cannot read corpus document {path}: {exc}") from exc
-        has_x = pattern_x.search(text) is not None
-        has_y = pattern_y.search(text) is not None
-        fx += has_x
-        fy += has_y
-        fxy += has_x and has_y
-    return HitCounts(fx, fy, fxy, len(files))
-
-
-def _pair_key(x: str, y: str) -> tuple[str, str]:
-    a, b = sorted((x.strip().lower(), y.strip().lower()))
-    return a, b
+def _lookup(table: dict[tuple[str, str], HitCounts], x: str, y: str) -> Optional[HitCounts]:
+    key, flipped = _pair_key(x, y)
+    counts = table.get(key)
+    return counts.swapped() if flipped and counts is not None else counts
 
 
 class PairCache:
@@ -168,25 +144,17 @@ class PairCache:
             self._entries.update(read_counts_table(self.path))
 
     def get(self, x: str, y: str) -> Optional[HitCounts]:
-        key = _pair_key(x, y)
-        counts = self._entries.get(key)
-        if counts is None:
-            return None
-        return counts if key[0] == x.strip().lower() else counts.swapped()
+        return _lookup(self._entries, x, y)
 
     def put(self, x: str, y: str, counts: HitCounts) -> None:
-        key = _pair_key(x, y)
-        stored = counts if key[0] == x.strip().lower() else counts.swapped()
+        (term_a, term_b), flipped = _pair_key(x, y)
+        stored = counts.swapped() if flipped else counts
+        line = f"{term_a}\t{term_b}\t{stored.fx}\t{stored.fy}\t{stored.fxy}\t{stored.m}\n"
         with self._lock:
-            self._entries[key] = stored
+            self._entries[(term_a, term_b)] = stored
             if self.path is not None:
-                line = format_counts_line(key[0], key[1], stored)
                 with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-
-
-def format_counts_line(term_a: str, term_b: str, counts: HitCounts) -> str:
-    return f"{term_a}\t{term_b}\t{counts.fx}\t{counts.fy}\t{counts.fxy}\t{counts.m}"
+                    handle.write(line)
 
 
 def read_counts_table(path: str | Path) -> dict[tuple[str, str], HitCounts]:
@@ -200,18 +168,14 @@ def read_counts_table(path: str | Path) -> dict[tuple[str, str], HitCounts]:
         fields = line.split("\t")
         if len(fields) != 6:
             raise ConfigError(f"{path}: line {number}: expected 6 tab-separated fields")
-        term_a, term_b = fields[0].strip().lower(), fields[1].strip().lower()
         try:
-            fx, fy, fxy, m = (int(f) for f in fields[2:])
+            counts = HitCounts(*(int(f) for f in fields[2:]))
         except ValueError as exc:
             raise ConfigError(f"{path}: line {number}: counts must be integers") from exc
-        if (term_a, term_b) != tuple(sorted((term_a, term_b))):
-            term_a, term_b = term_b, term_a
-            fx, fy = fy, fx
-        try:
-            table[(term_a, term_b)] = HitCounts(fx, fy, fxy, m)
         except InvalidCountsError as exc:
             raise ConfigError(f"{path}: line {number}: {exc}") from exc
+        key, flipped = _pair_key(fields[0], fields[1])
+        table[key] = counts.swapped() if flipped else counts
     return table
 
 
@@ -234,21 +198,45 @@ class StaticTableProvider(CountProvider):
         return cls(read_counts_table(path))
 
     def counts(self, x: str, y: str) -> HitCounts:
-        key = _pair_key(x, y)
-        entry = self._table.get(key)
-        if entry is None:
+        counts = _lookup(self._table, x, y)
+        if counts is None:
             raise MissingPairError(f"no counts for pair ({x}, {y})")
-        return entry if key[0] == x.strip().lower() else entry.swapped()
+        return counts
 
 
 class CorpusProvider(CountProvider):
-    """Counts obtained by scanning a directory of text documents."""
+    """Counts obtained by scanning a directory of text documents, listed at the first lookup.
+
+    A document matches a term it contains as a case-insensitive whole word (a multi-word
+    term as a contiguous phrase).  Every lookup counts the same documents and m.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
 
+    @cached_property
+    def _files(self) -> list[Path]:
+        if not self.directory.is_dir():
+            raise CorpusError(f"corpus directory not found: {self.directory}")
+        files = sorted(p for p in self.directory.iterdir() if p.is_file())
+        if not files:
+            raise CorpusError(f"corpus directory is empty: {self.directory}")
+        return files
+
     def counts(self, x: str, y: str) -> HitCounts:
-        return corpus_counts(self.directory, x, y)
+        pattern_x, pattern_y = _phrase_pattern(x), _phrase_pattern(y)
+        fx = fy = fxy = 0
+        for path in self._files:
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CorpusError(f"cannot read corpus document {path}: {exc}") from exc
+            has_x = pattern_x.search(text) is not None
+            has_y = pattern_y.search(text) is not None
+            fx += has_x
+            fy += has_y
+            fxy += has_x and has_y
+        return HitCounts(fx, fy, fxy, len(self._files))
 
 
 def _default_transport(url: str, timeout: float = 30.0) -> str:
@@ -368,20 +356,23 @@ class CachedProvider(CountProvider):
         return counts
 
 
+def _text(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+# Each remote key is a RemoteProvider keyword, except api_key_env (see make_provider).
+_REMOTE_KEYS = {"endpoint": _text, "m": int, "interval_ms": int, "retries": int, "api_key_env": _text}
+_EXTRACT_KEYS = {"json_path": _text, "regex": _text}
+
+
 @dataclass(frozen=True)
 class ProviderConfig:
-    """Which provider to build and how; loaded from a JSON config document."""
+    """Which provider to build, and the keyword arguments of its constructor."""
 
     kind: str
-    table: Optional[Path] = None
-    directory: Optional[Path] = None
-    endpoint: Optional[str] = None
-    json_path: Optional[str] = None
-    regex: Optional[str] = None
-    interval_ms: int = 0
-    m: Optional[int] = None
-    api_key_env: Optional[str] = None
-    retries: int = 3
+    options: dict[str, object]
 
 
 def load_provider_config(path: str | Path) -> ProviderConfig:
@@ -396,60 +387,44 @@ def load_provider_config(path: str | Path) -> ProviderConfig:
     kind = raw.get("kind")
     if kind not in PROVIDER_KINDS:
         raise ConfigError(f"{path}: kind must be one of {PROVIDER_KINDS}, got {kind!r}")
-    base = path.parent
 
-    def resolve(key: str) -> Optional[Path]:
-        value = raw.get(key)
-        if value is None:
-            return None
-        candidate = Path(value)
-        return candidate if candidate.is_absolute() else base / candidate
+    def read(source: dict, key: str, convert: Callable[[object], object]) -> object:
+        try:
+            return convert(source[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad value for {key!r}: {source[key]!r}") from exc
 
+    if kind != "remote":
+        key = "table" if kind == "static" else "directory"
+        if raw.get(key) is None:
+            raise ConfigError(f"{path}: {kind} provider requires a {key!r} path")
+        return ProviderConfig(kind, {key: path.parent / read(raw, key, _text)})
     extract = raw.get("extract") or {}
-    config = ProviderConfig(
-        kind=kind,
-        table=resolve("table"),
-        directory=resolve("directory"),
-        endpoint=raw.get("endpoint"),
-        json_path=extract.get("json_path"),
-        regex=extract.get("regex"),
-        interval_ms=int(raw.get("interval_ms", 0)),
-        m=int(raw["m"]) if "m" in raw else None,
-        api_key_env=raw.get("api_key_env"),
-        retries=int(raw.get("retries", 3)),
-    )
-    if kind == "static" and config.table is None:
-        raise ConfigError(f"{path}: static provider requires a 'table' path")
-    if kind == "corpus" and config.directory is None:
-        raise ConfigError(f"{path}: corpus provider requires a 'directory' path")
-    if kind == "remote":
-        if config.endpoint is None or "{query}" not in config.endpoint:
-            raise ConfigError(f"{path}: remote provider requires an endpoint with {{query}}")
-        if config.m is None:
-            raise ConfigError(f"{path}: remote provider requires a fixed total 'm'")
-    return config
+    if not isinstance(extract, dict):
+        raise ConfigError(f"{path}: 'extract' must be a JSON object, got {extract!r}")
+    options = {
+        key: read(source, key, convert)
+        for source, keys in ((raw, _REMOTE_KEYS), (extract, _EXTRACT_KEYS))
+        for key, convert in keys.items()
+        if source.get(key) is not None
+    }
+    if "{query}" not in options.get("endpoint", ""):
+        raise ConfigError(f"{path}: remote provider requires an endpoint with {{query}}")
+    if "m" not in options:
+        raise ConfigError(f"{path}: remote provider requires a fixed total 'm'")
+    return ProviderConfig(kind, options)
 
 
 def make_provider(
-    config: ProviderConfig,
-    transport: Optional[Callable[[str], str]] = None,
+    config: ProviderConfig, transport: Optional[Callable[[str], str]] = None
 ) -> CountProvider:
     """Instantiate the provider a config describes."""
     if config.kind == "static":
-        return StaticTableProvider.from_file(config.table)
+        return StaticTableProvider.from_file(config.options["table"])
     if config.kind == "corpus":
-        return CorpusProvider(config.directory)
+        return CorpusProvider(**config.options)
     if config.kind == "remote":
-        api_key = os.environ.get(config.api_key_env) if config.api_key_env else None
-        return RemoteProvider(
-            endpoint=config.endpoint,
-            m=config.m,
-            json_path=config.json_path,
-            regex=config.regex,
-            interval_ms=config.interval_ms,
-            retries=config.retries,
-            api_key=api_key,
-            transport=transport,
-        )
+        options = dict(config.options)
+        api_key = os.environ.get(options.pop("api_key_env", ""))
+        return RemoteProvider(**options, api_key=api_key, transport=transport)
     raise ConfigError(f"unknown provider kind {config.kind!r}")
-

@@ -338,6 +338,16 @@ def test_counts_missing_pair(capsys):
     assert "zeppelin" in stderr
 
 
+def test_counts_bad_config_value_exits_nonzero(capsys, tmp_path):
+    config = tmp_path / "provider.json"
+    config.write_text(json.dumps({"kind": "remote", "endpoint": "https://e.test/s?q={query}",
+                                  "m": "ten", "extract": {"json_path": "n"}}), encoding="utf-8")
+    code, _, stderr = run(capsys, "counts", "--provider", config, "a", "b")
+    assert code == 1
+    assert stderr.startswith("contexttrust:")
+    assert "'m'" in stderr
+
+
 # --- general ----------------------------------------------------------------------
 
 def test_missing_input_file_exits_nonzero(capsys, tmp_path):

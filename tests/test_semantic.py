@@ -23,7 +23,6 @@ from contexttrust.semantic import (
     PairCache,
     RemoteProvider,
     StaticTableProvider,
-    corpus_counts,
     load_provider_config,
     make_provider,
     ngd,
@@ -171,43 +170,50 @@ def tiny_corpus(tmp_path):
 
 
 def test_corpus_counts_brute_checked(tiny_corpus):
-    assert corpus_counts(tiny_corpus, "laptop", "computer") == HitCounts(2, 1, 1, 3)
+    assert CorpusProvider(tiny_corpus).counts("laptop", "computer") == HitCounts(2, 1, 1, 3)
 
 
 def test_corpus_counts_same_term(tiny_corpus):
-    assert corpus_counts(tiny_corpus, "laptop", "laptop") == HitCounts(2, 2, 2, 3)
+    assert CorpusProvider(tiny_corpus).counts("laptop", "laptop") == HitCounts(2, 2, 2, 3)
 
 
 def test_corpus_counts_absent_term_gives_zero(tiny_corpus):
-    counts = corpus_counts(tiny_corpus, "zzz", "laptop")
+    counts = CorpusProvider(tiny_corpus).counts("zzz", "laptop")
     assert counts.fx == 0
     with pytest.raises(UndefinedTermError):
         ngd(counts)
 
 
 def test_corpus_counts_case_insensitive(tiny_corpus):
-    assert corpus_counts(tiny_corpus, "LAPTOP", "Computer").fx == 2
+    assert CorpusProvider(tiny_corpus).counts("LAPTOP", "Computer").fx == 2
 
 
 def test_corpus_counts_whole_word_only(tiny_corpus):
-    assert corpus_counts(tiny_corpus, "top", "lap").fx == 0
+    assert CorpusProvider(tiny_corpus).counts("top", "lap").fx == 0
 
 
 def test_corpus_counts_multiword_phrase(tiny_corpus):
-    assert corpus_counts(tiny_corpus, "laptop computer", "phone").fx == 1
-    assert corpus_counts(tiny_corpus, "laptop sale", "phone").fx == 0
+    assert CorpusProvider(tiny_corpus).counts("laptop computer", "phone").fx == 1
+    assert CorpusProvider(tiny_corpus).counts("laptop sale", "phone").fx == 0
 
 
 def test_corpus_counts_empty_directory(tmp_path):
     with pytest.raises(CorpusError, match="empty"):
-        corpus_counts(tmp_path, "a", "b")
+        CorpusProvider(tmp_path).counts("a", "b")
 
 
 def test_corpus_counts_unreadable_document(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\xfe invalid")
     with pytest.raises(CorpusError, match="bad.txt"):
-        corpus_counts(tmp_path, "a", "b")
+        CorpusProvider(tmp_path).counts("a", "b")
+
+
+def test_corpus_document_set_is_fixed_at_first_lookup(tiny_corpus):
+    provider = CorpusProvider(tiny_corpus)
+    before = provider.counts("laptop", "phone")
+    (tiny_corpus / "d3.txt").write_text("laptop phone", encoding="utf-8")
+    assert provider.counts("laptop", "phone") == before == HitCounts(2, 1, 0, 3)
 
 
 # --- static tables and caching --------------------------------------------------
@@ -218,6 +224,7 @@ def test_static_table_lookup_and_orientation(tmp_path):
     provider = StaticTableProvider.from_file(table)
     assert provider.counts("laptop", "phone") == HitCounts(10**6, 8 * 10**5, 10**5, 10**10)
     assert provider.counts("phone", "laptop") == HitCounts(8 * 10**5, 10**6, 10**5, 10**10)
+    assert provider.counts(" PHONE ", "Laptop\t") == HitCounts(8 * 10**5, 10**6, 10**5, 10**10)
 
 
 def test_static_table_miss(tmp_path):
@@ -289,11 +296,6 @@ def test_warm_cache_equals_cold_cache(tiny_corpus, tmp_path):
     warm_provider.counts("laptop", "phone")
     warm = warm_provider.counts("laptop", "phone")
     assert cold == warm
-
-
-def test_corpus_provider_matches_direct_scan(tiny_corpus):
-    provider = CorpusProvider(tiny_corpus)
-    assert provider.counts("laptop", "computer") == corpus_counts(tiny_corpus, "laptop", "computer")
 
 
 def test_cached_provider_survives_source_removal(tiny_corpus, tmp_path):
@@ -431,6 +433,29 @@ def test_load_corpus_config(tmp_path):
     assert provider.counts("laptop", "laptop") == HitCounts(1, 1, 1, 1)
 
 
+def test_config_paths_may_be_absolute(tmp_path):
+    data = tmp_path / "data"
+    (data / "docs").mkdir(parents=True)
+    (data / "docs" / "d.txt").write_text("a b", encoding="utf-8")
+    (data / "t.tsv").write_text("a\tb\t1\t1\t1\t10\n", encoding="utf-8")
+    (tmp_path / "conf").mkdir()
+    config_path = tmp_path / "conf" / "p.json"
+    for payload, counts in [
+        ({"kind": "static", "table": str(data / "t.tsv")}, HitCounts(1, 1, 1, 10)),
+        ({"kind": "corpus", "directory": str(data / "docs")}, HitCounts(1, 1, 1, 1)),
+    ]:
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert make_provider(load_provider_config(config_path)).counts("a", "b") == counts
+
+
+def test_config_ignores_keys_of_other_kinds(tmp_path):
+    (tmp_path / "t.tsv").write_text("a\tb\t1\t1\t1\t10\n", encoding="utf-8")
+    config_path = tmp_path / "p.json"
+    payload = {"kind": "static", "table": "t.tsv", "interval_ms": "x", "m": "ten", "extract": "n"}
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert make_provider(load_provider_config(config_path)).counts("a", "b") == HitCounts(1, 1, 1, 10)
+
+
 def test_remote_config_env_credential(tmp_path, monkeypatch):
     config_path = tmp_path / "p.json"
     config_path.write_text(
@@ -452,7 +477,9 @@ def test_remote_config_env_credential(tmp_path, monkeypatch):
         seen.append(url)
         return json.dumps({"stats": {"total": 3}})
 
-    provider = make_provider(load_provider_config(config_path), transport=transport)
+    config = load_provider_config(config_path)
+    assert "s3cret" not in repr(config)
+    provider = make_provider(config, transport=transport)
     provider.counts("a", "a")
     assert "key=s3cret" in seen[0]
 
@@ -465,10 +492,20 @@ def test_remote_config_env_credential(tmp_path, monkeypatch):
         ({"kind": "corpus"}, "directory"),
         ({"kind": "remote", "endpoint": "https://e.test/s", "m": 10}, "{query}"),
         ({"kind": "remote", "endpoint": "https://e.test/s?q={query}"}, "'m'"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": "ten"}, "'m'"),
+        ({"kind": "corpus", "directory": 5}, "'directory'"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10, "extract": "n"},
+         "'extract'"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10,
+          "interval_ms": "x"}, "'interval_ms'"),
+        ({"kind": "remote", "endpoint": ["{query}"], "m": 10}, "'endpoint'"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10,
+          "extract": {"json_path": 5}}, "'json_path'"),
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, payload, message):
     config_path = tmp_path / "p.json"
     config_path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=message) as raised:
         load_provider_config(config_path)
+    assert str(config_path) in str(raised.value)
