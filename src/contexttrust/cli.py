@@ -47,7 +47,7 @@ def _write_atomic(path: str | Path, text: str) -> None:
 def _build_provider(args: argparse.Namespace) -> semantic.CountProvider:
     config = semantic.load_provider_config(args.provider)
     provider = semantic.make_provider(config)
-    if getattr(args, "cache", None):
+    if args.cache:
         provider = semantic.CachedProvider(provider, semantic.PairCache(args.cache))
     return provider
 
@@ -86,8 +86,6 @@ def _read_pairs(path: str | Path) -> list[evaluation.Pair]:
 
 
 def _cmd_weigh(args: argparse.Namespace) -> int:
-    if not 0.0 < args.epsilon <= 1.0:
-        raise DomainError(f"--epsilon must lie in (0, 1], got {args.epsilon}")
     tree = ontology.load_tree(args.tree)
     provider = _build_provider(args)
     weighted, annotations = ontology.weigh_tree(tree, provider, epsilon=args.epsilon)
@@ -126,19 +124,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_profile(
-    profiles: dict[str, dataset.TrustProfile], seller: str
-) -> dataset.TrustProfile:
-    profile = profiles.get(seller)
-    if profile is None:
-        raise DomainError(f"no eligible profile for seller {seller!r} after filtering")
-    return profile
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     tree = ontology.load_tree(args.tree)
-    profiles = _load_profiles(args)
-    profile = _require_profile(profiles, args.seller)
+    profile = _load_profiles(args).get(args.seller)
+    if profile is None:
+        raise DomainError(f"no eligible profile for seller {args.seller!r} after filtering")
     prediction = trust.predict_for_pair(
         profile, tree, args.measure, args.known, args.unknown, PathMode(args.mode)
     )
@@ -168,13 +158,6 @@ def _cmd_counts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-contexts", type=int, default=1,
-                        help="drop sellers with fewer surviving contexts (default 1)")
-    parser.add_argument("--min-ratings", type=int, default=1,
-                        help="drop contexts with fewer reviews (default 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contexttrust",
@@ -182,49 +165,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_weigh = sub.add_parser("weigh", help="weight a tree's edges from co-occurrence counts")
+    # Flags shared by several subcommands, declared once.
+    provider_flags = argparse.ArgumentParser(add_help=False)
+    provider_flags.add_argument("--provider", required=True, help="provider config (JSON)")
+    provider_flags.add_argument("--cache", help="pair-counts cache file (TSV)")
+    mode_flags = argparse.ArgumentParser(add_help=False)
+    mode_flags.add_argument("--mode", choices=[m.value for m in PathMode], default="product")
+    profile_flags = argparse.ArgumentParser(add_help=False)
+    profile_flags.add_argument("--tree", required=True, help="tree document")
+    profile_flags.add_argument("--reviews", action="append", required=True,
+                               metavar="[SELLER=]PATH",
+                               help="review CSV; seller defaults to the file stem")
+    profile_flags.add_argument("--min-contexts", type=int, default=1,
+                               help="drop sellers with fewer surviving contexts (default 1)")
+    profile_flags.add_argument("--min-ratings", type=int, default=1,
+                               help="drop contexts with fewer reviews (default 1)")
+
+    p_weigh = sub.add_parser("weigh", parents=[provider_flags],
+                             help="weight a tree's edges from co-occurrence counts")
     p_weigh.add_argument("--tree", required=True, help="tree document to weight")
-    p_weigh.add_argument("--provider", required=True, help="provider config (JSON)")
-    p_weigh.add_argument("--cache", help="pair-counts cache file (TSV)")
     p_weigh.add_argument("--epsilon", type=float, default=semantic.DEFAULT_EPSILON,
                          help="weight floor for degenerate similarities (default 0.01)")
     p_weigh.add_argument("--out", required=True, help="where to write the weighted tree")
     p_weigh.set_defaults(func=_cmd_weigh)
 
-    p_sim = sub.add_parser("sim", help="similarity between two contexts")
+    p_sim = sub.add_parser("sim", parents=[mode_flags], help="similarity between two contexts")
     p_sim.add_argument("--tree", help="tree document (tree measures only)")
     p_sim.add_argument("--measure", choices=ALL_MEASURES, default="weighted")
-    p_sim.add_argument("--mode", choices=[m.value for m in PathMode], default="product")
     p_sim.add_argument("a", help="node id, keyword list, or attribute vector")
     p_sim.add_argument("b", help="node id, keyword list, or attribute vector")
     p_sim.set_defaults(func=_cmd_sim)
 
-    p_predict = sub.add_parser("predict", help="predict a rate for an unknown context")
-    p_predict.add_argument("--tree", required=True)
-    p_predict.add_argument("--reviews", action="append", required=True, metavar="[SELLER=]PATH",
-                           help="review CSV; seller defaults to the file stem")
+    p_predict = sub.add_parser("predict", parents=[profile_flags, mode_flags],
+                               help="predict a rate for an unknown context")
     p_predict.add_argument("--measure", choices=TREE_MEASURES, default="weighted")
-    p_predict.add_argument("--mode", choices=[m.value for m in PathMode], default="product")
-    _add_filter_flags(p_predict)
     p_predict.add_argument("seller")
     p_predict.add_argument("known")
     p_predict.add_argument("unknown")
     p_predict.set_defaults(func=_cmd_predict)
 
-    p_eval = sub.add_parser("eval", help="compare measures over seller/context pairs")
-    p_eval.add_argument("--tree", required=True)
-    p_eval.add_argument("--reviews", action="append", required=True, metavar="[SELLER=]PATH")
+    p_eval = sub.add_parser("eval", parents=[profile_flags, mode_flags],
+                            help="compare measures over seller/context pairs")
     p_eval.add_argument("--pairs", required=True, help="CSV of seller,known,unknown")
     p_eval.add_argument("--measure", action="append", choices=TREE_MEASURES,
                         help="repeatable; default: weighted and eq1")
-    p_eval.add_argument("--mode", choices=[m.value for m in PathMode], default="product")
-    _add_filter_flags(p_eval)
     p_eval.add_argument("--out", required=True, help="where to write the report CSV")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_counts = sub.add_parser("counts", help="inspect hit counts for a term pair")
-    p_counts.add_argument("--provider", required=True)
-    p_counts.add_argument("--cache")
+    p_counts = sub.add_parser("counts", parents=[provider_flags],
+                              help="inspect hit counts for a term pair")
     p_counts.add_argument("x")
     p_counts.add_argument("y")
     p_counts.set_defaults(func=_cmd_counts)

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 from .errors import DomainError, MissingContextError, RowError, SchemaError
 
 REVIEW_HEADER = ("Context", "Rate", "Date", "Description", "Link")
+RATE_MIN, RATE_MAX = 1, 5  # the rating scale, inclusive
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list
             raise RowError(
                 f"{prefix}: row {number}: rate {rate_text!r} is not an integer"
             ) from None
-        if not 1 <= rate <= 5:
-            raise RowError(f"{prefix}: row {number}: rate {rate} outside 1..5")
+        if not RATE_MIN <= rate <= RATE_MAX:
+            raise RowError(f"{prefix}: row {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
         reviews.append(Review(context, rate, date, description, link))
     return reviews
 

@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .dataset import TrustProfile
+from .dataset import RATE_MAX, TrustProfile
 from .errors import (
     ArityError,
     ContextTrustError,
     DegenerateInputError,
-    MissingContextError,
     UnknownSellerError,
 )
 from .ontology import OntologyTree
@@ -63,7 +62,7 @@ class ComparisonReport:
 
 def error_percentage(predicted: float, real_rate: float) -> float:
     """Signed prediction error as a percentage of the 5-point scale."""
-    return (predicted - real_rate) / 5.0 * 100.0
+    return (predicted - real_rate) / RATE_MAX * 100.0
 
 
 def rate_difference(profile: TrustProfile, c1: str, c2: str) -> float:
@@ -104,37 +103,31 @@ def run_comparison(
     """Score every measure on every pair; rows ordered by pair then measure."""
     records: list[EvaluationRecord] = []
     for seller, known, unknown in pairs:
-        profile = profiles.get(seller)
-        if profile is None:
-            raise UnknownSellerError(
-                f"pair ({seller}, {known}, {unknown}): no profile for seller {seller!r}"
-            )
         try:
+            profile = profiles.get(seller)
+            if profile is None:
+                raise UnknownSellerError(f"no profile for seller {seller!r}")
             real = profile.aggregate(unknown)
-            known_rate = profile.aggregate(known)
-        except MissingContextError as exc:
-            raise MissingContextError(f"pair ({seller}, {known}, {unknown}): {exc}") from exc
-        diff = abs(known_rate - real)
-        for measure in measures:
-            try:
+            diff = rate_difference(profile, known, unknown)
+            for measure in measures:
                 prediction = predict_for_pair(profile, tree, measure, known, unknown, mode)
-            except ContextTrustError as exc:
-                raise type(exc)(f"pair ({seller}, {known}, {unknown}): {exc}") from exc
-            signed = error_percentage(prediction.predicted_rate, real)
-            records.append(
-                EvaluationRecord(
-                    seller=seller,
-                    known_context=known,
-                    unknown_context=unknown,
-                    measure=measure,
-                    similarity=prediction.similarity,
-                    predicted_rate=prediction.predicted_rate,
-                    real_rate=real,
-                    signed_error_pct=signed,
-                    abs_error_pct=abs(signed),
-                    rate_difference=diff,
+                signed = error_percentage(prediction.predicted_rate, real)
+                records.append(
+                    EvaluationRecord(
+                        seller=seller,
+                        known_context=known,
+                        unknown_context=unknown,
+                        measure=measure,
+                        similarity=prediction.similarity,
+                        predicted_rate=prediction.predicted_rate,
+                        real_rate=real,
+                        signed_error_pct=signed,
+                        abs_error_pct=abs(signed),
+                        rate_difference=diff,
+                    )
                 )
-            )
+        except ContextTrustError as exc:
+            raise type(exc)(f"pair ({seller}, {known}, {unknown}): {exc}") from exc
 
     mean_abs: dict[str, float] = {}
     for measure in measures:

@@ -18,6 +18,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     ContextTrustError,
+    DomainError,
     ProviderError,
     TreeParseError,
     TreeValidationError,
@@ -45,7 +46,6 @@ class OntologyTree:
     root: str
     nodes: frozenset[str]
     parents: dict[str, str]
-    children: dict[str, tuple[str, ...]]
     weights: dict[Edge, Optional[float]]
 
     @classmethod
@@ -73,7 +73,7 @@ class OntologyTree:
             raise TreeValidationError("node label is empty")
         nodes = frozenset(names)
         if lone_root is not None:
-            return cls(root=lone_root, nodes=nodes, parents={}, children={}, weights={})
+            return cls(root=lone_root, nodes=nodes, parents={}, weights={})
 
         parents: dict[str, str] = {}
         children: dict[str, list[str]] = {}
@@ -113,13 +113,7 @@ class OntologyTree:
                 f"nodes unreachable from root {root!r}: {', '.join(repr(n) for n in missing)}"
             )
 
-        return cls(
-            root=root,
-            nodes=nodes,
-            parents=parents,
-            children={p: tuple(c) for p, c in children.items()},
-            weights=weights,
-        )
+        return cls(root=root, nodes=nodes, parents=parents, weights=weights)
 
     def edge_list(self) -> list[tuple[str, str, Optional[float]]]:
         """Edges with weights, in document (insertion) order."""
@@ -204,22 +198,16 @@ def path_between(tree: OntologyTree, a: str, b: str) -> NodePath:
     ancestors_a = {name: depth for depth, name in enumerate(up_a)}
     for depth_b, name in enumerate(up_b):
         if name in ancestors_a:
-            lca, depth_a = name, ancestors_a[name]
+            depth_a = ancestors_a[name]
             break
     else:  # pragma: no cover - both paths end at the root
         raise TreeValidationError("paths share no ancestor; tree is corrupt")
 
-    ascending = up_a[: depth_a + 1]  # a .. lca
-    descending = up_b[:depth_b][::-1]  # child of lca .. b
-    nodes = tuple(ascending + descending)
-
-    edges: list[Edge] = []
-    for u, v in zip(nodes, nodes[1:]):
-        if tree.parents.get(u) == v:
-            edges.append((v, u))
-        else:
-            edges.append((u, v))
-    return NodePath(nodes=nodes, edges=tuple(edges))
+    nodes = tuple(up_a[: depth_a + 1] + up_b[:depth_b][::-1])  # a .. lca .. b
+    # Each root path lists a child just before its parent.
+    ascending = zip(up_a[1 : depth_a + 1], up_a[:depth_a])
+    descending = reversed(list(zip(up_b[1 : depth_b + 1], up_b[:depth_b])))
+    return NodePath(nodes=nodes, edges=(*ascending, *descending))
 
 
 def intermediate_count(tree: OntologyTree, a: str, b: str) -> int:
@@ -245,8 +233,10 @@ def weigh_tree(
 
     Returns a new tree of identical shape plus annotations for the edges
     whose score degenerated to the floor (zero co-occurrence, or a distance
-    past 1 clamped back up).
+    past 1 clamped back up).  ``epsilon`` must lie in (0, 1], like every weight.
     """
+    if not 0.0 < epsilon <= 1.0:
+        raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
     weights: dict[Edge, Optional[float]] = {}
     annotations: list[EdgeAnnotation] = []
     for parent, child, _ in tree.edge_list():

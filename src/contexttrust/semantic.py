@@ -26,6 +26,7 @@ from typing import Callable, Optional
 from .errors import (
     ConfigError,
     CorpusError,
+    DomainError,
     InvalidCountsError,
     MissingPairError,
     ProviderError,
@@ -111,7 +112,7 @@ def _phrase_pattern(term: str) -> re.Pattern[str]:
     # Whole-word match; a multi-word term matches as a contiguous phrase.
     words = term.lower().split()
     if not words:
-        raise ValueError("term is empty")
+        raise DomainError("term is empty")
     inner = r"\W+".join(re.escape(word) for word in words)
     return re.compile(rf"(?<!\w){inner}(?!\w)", re.IGNORECASE | re.UNICODE)
 
@@ -160,7 +161,7 @@ class PairCache:
 def read_counts_table(path: str | Path) -> dict[tuple[str, str], HitCounts]:
     """Read a pair-counts TSV (cache file and static table share the format)."""
     table: dict[tuple[str, str], HitCounts] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -379,7 +380,7 @@ def load_provider_config(path: str | Path) -> ProviderConfig:
     """Read a provider config; relative paths resolve against the config file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read provider config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -412,6 +413,13 @@ def load_provider_config(path: str | Path) -> ProviderConfig:
         raise ConfigError(f"{path}: remote provider requires an endpoint with {{query}}")
     if "m" not in options:
         raise ConfigError(f"{path}: remote provider requires a fixed total 'm'")
+    if "regex" in options:
+        try:
+            groups = re.compile(options["regex"]).groups
+        except re.error as exc:
+            raise ConfigError(f"{path}: 'regex' does not compile: {exc}") from exc
+        if groups < 1:
+            raise ConfigError(f"{path}: 'regex' needs a capture group for the count")
     return ProviderConfig(kind, options)
 
 

@@ -65,9 +65,10 @@ def weighted_path_similarity(
 ) -> float:
     """Similarity from the edge weights on the unique a-b path.
 
-    Product mode multiplies the weights (a value in (0, 1]); reciprocal mode
-    returns one over that product (a value >= 1).  Identical nodes give 1 in
-    both modes, the empty product.
+    Product mode multiplies the weights (a value in (0, 1], or 0.0 once a
+    long path of small weights underflows); reciprocal mode returns one over
+    that product (a value >= 1) and rejects an underflowed one.  Identical
+    nodes give 1 in both modes, the empty product.
     """
     path = path_between(tree, a, b)
     product = 1.0
@@ -77,6 +78,11 @@ def weighted_path_similarity(
             raise MissingWeightError(f"edge ({parent!r}, {child!r}) carries no weight")
         product *= weight
     if mode is PathMode.RECIPROCAL:
+        if product == 0.0:
+            raise DomainError(
+                f"weight product on the path {a!r} -> {b!r} ({len(path.edges)} edges) "
+                "underflows to 0, so its reciprocal is undefined"
+            )
         return 1.0 / product
     return product
 

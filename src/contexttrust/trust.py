@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataset import TrustProfile
+from .dataset import RATE_MAX, RATE_MIN, TrustProfile
 from .errors import DomainError
 from .ontology import OntologyTree
 from .similarity import PathMode, tree_similarity
-
-RATE_FLOOR = 0.0
-RATE_CEILING = 5.0
 
 
 @dataclass(frozen=True)
@@ -26,16 +23,17 @@ class TrustPrediction:
 
 
 def predict_trust(known_rate: float, similarity: float) -> float:
-    """Known rate scaled by similarity, clamped to the rating range [0, 5].
+    """Known rate scaled by similarity, capped at the top of the rating scale.
 
     Similarities above 1 (reciprocal path mode) can push the raw product
-    past the 5-point ceiling; near-floor similarities can push it below 1.
+    past the ceiling.  Near-floor similarities can push it below the scale's
+    minimum; such a value is returned as is, so the result lies in (0, RATE_MAX].
     """
     if similarity <= 0:
         raise DomainError(f"similarity must be positive, got {similarity}")
-    if not RATE_CEILING >= known_rate >= 1.0:
-        raise DomainError(f"known rate {known_rate} outside [1, 5]")
-    return min(RATE_CEILING, max(RATE_FLOOR, known_rate * similarity))
+    if not RATE_MIN <= known_rate <= RATE_MAX:
+        raise DomainError(f"known rate {known_rate} outside [{RATE_MIN}, {RATE_MAX}]")
+    return min(float(RATE_MAX), known_rate * similarity)
 
 
 def predict_for_pair(
@@ -48,8 +46,6 @@ def predict_for_pair(
 ) -> TrustPrediction:
     """Compose a tree measure with the multiplication rule for one context pair."""
     known_rate = profile.aggregate(known)
-    tree.require(known)
-    tree.require(unknown)
     similarity = tree_similarity(tree, known, unknown, measure, mode)
     predicted = predict_trust(known_rate, similarity)
     return TrustPrediction(

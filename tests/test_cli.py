@@ -3,8 +3,9 @@ import os
 import shutil
 import stat
 
-from helpers import DATA_DIR
+from helpers import DATA_DIR, chain_tree
 from contexttrust.cli import main
+from contexttrust.ontology import dump_tree
 
 EVALFIX = DATA_DIR / "evalfix"
 
@@ -185,6 +186,16 @@ def test_sim_unknown_node_fails(capsys, tmp_path):
     assert "zz" in stderr
 
 
+def test_sim_reciprocal_underflow_fails(capsys, tmp_path):
+    tree = tmp_path / "tree.tsv"
+    tree.write_text(dump_tree(chain_tree([0.01] * 200)), encoding="utf-8")
+    code, stdout, stderr = run(capsys, "sim", "--tree", tree, "--measure", "weighted",
+                               "--mode", "reciprocal", "c0", "c200")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("contexttrust:") and "c200" in stderr
+
+
 def test_sim_missing_weight_fails(capsys, tmp_path):
     tree = tmp_path / "tree.tsv"
     tree.write_text("a\tb\n", encoding="utf-8")
@@ -346,6 +357,16 @@ def test_counts_bad_config_value_exits_nonzero(capsys, tmp_path):
     assert code == 1
     assert stderr.startswith("contexttrust:")
     assert "'m'" in stderr
+
+
+def test_counts_blank_term_exits_nonzero(capsys, tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "d0.txt").write_text("alpha beta", encoding="utf-8")
+    config = tmp_path / "provider.json"
+    config.write_text(json.dumps({"kind": "corpus", "directory": "docs"}), encoding="utf-8")
+    code, _, stderr = run(capsys, "counts", "--provider", config, "  ", "alpha")
+    assert code == 1
+    assert stderr.startswith("contexttrust:") and "empty" in stderr
 
 
 # --- general ----------------------------------------------------------------------

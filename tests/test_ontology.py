@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from helpers import brute_force_unique_path, random_tree, tree_with_pair
 from contexttrust.errors import (
+    DomainError,
     MissingPairError,
     TreeParseError,
     TreeValidationError,
@@ -48,7 +49,8 @@ def test_load_cs_tree(cs_tree):
     assert cs_tree.root == "ComputerScience"
     assert len(cs_tree.nodes) == 7
     assert cs_tree.parents["Java"] == "ObjectOriented"
-    assert cs_tree.children["ComputerScience"] == ("Software", "Hardware")
+    # The root's children, in document order.
+    assert [c for p, c, _ in cs_tree.edge_list() if p == cs_tree.root] == ["Software", "Hardware"]
 
 
 def test_single_token_line_declares_one_node_tree():
@@ -278,6 +280,16 @@ def test_weigh_respects_custom_epsilon():
     assert len(notes) == 1
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 2.0])
+@pytest.mark.parametrize("fxy", [0, 1])
+def test_weigh_rejects_epsilon_outside_unit_interval_before_lookup(cs_tree, epsilon, fxy):
+    # With fxy = 0 every edge would take the floor value itself, which no tree accepts.
+    provider = FixedCountsProvider(HitCounts(10, 10, fxy, 100))
+    with pytest.raises(DomainError, match="epsilon"):
+        weigh_tree(cs_tree, provider, epsilon=epsilon)
+    assert provider.calls == 0
+
+
 def test_clamped_similarity_is_annotated():
     # Distance past 1 drags the raw score negative; it is floored and noted.
     tree = parse_tree("A\tB\n")
@@ -317,6 +329,6 @@ def test_weigh_only_touches_weights(tree):
     weighted, _ = weigh_tree(tree, provider)
     assert weighted.nodes == tree.nodes
     assert weighted.parents == tree.parents
-    assert weighted.children == tree.children
+    assert list(weighted.weights) == list(tree.weights)
     assert weighted.root == tree.root
     assert all(0.01 <= w <= 1.0 for w in weighted.weights.values())

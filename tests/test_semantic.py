@@ -247,6 +247,12 @@ def test_counts_table_rejects_bad_rows(tmp_path):
         read_counts_table(table)
 
 
+def test_counts_table_may_start_with_bom(tmp_path):
+    table = tmp_path / "t.tsv"
+    table.write_text("a\tb\t3\t2\t1\t10\n", encoding="utf-8-sig")
+    assert StaticTableProvider.from_file(table).counts("a", "b") == HitCounts(3, 2, 1, 10)
+
+
 def test_counts_table_normalizes_unsorted_rows(tmp_path):
     table = tmp_path / "t.tsv"
     table.write_text("zebra\tant\t100\t50\t10\t1000\n", encoding="utf-8")
@@ -287,6 +293,16 @@ def test_cache_persists_across_instances(tmp_path):
     PairCache(path).put("a", "b", HitCounts(3, 2, 1, 10))
     reloaded = PairCache(path)
     assert reloaded.get("a", "b") == HitCounts(3, 2, 1, 10)
+
+
+def test_cache_may_start_with_bom(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("a\tb\t3\t2\t1\t10\n", encoding="utf-8-sig")
+    cache = PairCache(path)
+    cache.put("c", "d", HitCounts(4, 4, 4, 10))
+    reloaded = PairCache(path)
+    assert reloaded.get("a", "b") == HitCounts(3, 2, 1, 10)
+    assert reloaded.get("c", "d") == HitCounts(4, 4, 4, 10)
 
 
 def test_warm_cache_equals_cold_cache(tiny_corpus, tmp_path):
@@ -433,6 +449,14 @@ def test_load_corpus_config(tmp_path):
     assert provider.counts("laptop", "laptop") == HitCounts(1, 1, 1, 1)
 
 
+def test_config_may_start_with_bom(tmp_path):
+    config_path = tmp_path / "p.json"
+    config_path.write_text(json.dumps({"kind": "corpus", "directory": "docs"}),
+                           encoding="utf-8-sig")
+    config = load_provider_config(config_path)
+    assert config.options == {"directory": tmp_path / "docs"}
+
+
 def test_config_paths_may_be_absolute(tmp_path):
     data = tmp_path / "data"
     (data / "docs").mkdir(parents=True)
@@ -501,6 +525,10 @@ def test_remote_config_env_credential(tmp_path, monkeypatch):
         ({"kind": "remote", "endpoint": ["{query}"], "m": 10}, "'endpoint'"),
         ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10,
           "extract": {"json_path": 5}}, "'json_path'"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10,
+          "extract": {"regex": "("}}, "'regex' does not compile"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10,
+          "extract": {"regex": r"\d+"}}, "'regex' needs a capture group"),
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, payload, message):

@@ -43,6 +43,13 @@ def test_weighted_reciprocal_golden():
     assert value == pytest.approx(1 / 0.72)
 
 
+def test_reciprocal_of_underflowed_product_is_rejected():
+    tree = chain_tree([0.01] * 200)  # 1e-400 is below the smallest float
+    assert weighted_path_similarity(tree, "c0", "c200") == 0.0
+    with pytest.raises(DomainError, match="'c0' -> 'c200'"):
+        weighted_path_similarity(tree, "c0", "c200", PathMode.RECIPROCAL)
+
+
 def test_weighted_identity_is_one_in_both_modes():
     tree = chain_tree([0.9, 0.8])
     assert weighted_path_similarity(tree, "c1", "c1") == 1.0
