@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .dataset import RATE_MAX, TrustProfile
 from .errors import (
@@ -29,26 +29,27 @@ from .trust import predict_for_pair
 
 Pair = tuple[str, str, str]  # seller, known context, unknown context
 
-REPORT_HEADER = (
-    "seller,known,unknown,measure,similarity,predicted,real,"
-    "signed_error_pct,abs_error_pct,rate_difference"
-)
 
+class EvaluationRecord(NamedTuple):
+    """One prediction trial of one measure on one seller/context pair.
 
-@dataclass(frozen=True)
-class EvaluationRecord:
-    """One prediction trial of one measure on one seller/context pair."""
+    The fields are the report's columns, in order: four text columns, then
+    six numbers.
+    """
 
     seller: str
-    known_context: str
-    unknown_context: str
+    known: str
+    unknown: str
     measure: str
     similarity: float
-    predicted_rate: float
-    real_rate: float
+    predicted: float
+    real: float
     signed_error_pct: float
     abs_error_pct: float
     rate_difference: float
+
+
+REPORT_HEADER = ",".join(EvaluationRecord._fields)
 
 
 @dataclass(frozen=True)
@@ -112,20 +113,10 @@ def run_comparison(
             for measure in measures:
                 prediction = predict_for_pair(profile, tree, measure, known, unknown, mode)
                 signed = error_percentage(prediction.predicted_rate, real)
-                records.append(
-                    EvaluationRecord(
-                        seller=seller,
-                        known_context=known,
-                        unknown_context=unknown,
-                        measure=measure,
-                        similarity=prediction.similarity,
-                        predicted_rate=prediction.predicted_rate,
-                        real_rate=real,
-                        signed_error_pct=signed,
-                        abs_error_pct=abs(signed),
-                        rate_difference=diff,
-                    )
-                )
+                records.append(EvaluationRecord(
+                    seller, known, unknown, measure, prediction.similarity,
+                    prediction.predicted_rate, real, signed, abs(signed), diff,
+                ))
         except ContextTrustError as exc:
             raise type(exc)(f"pair ({seller}, {known}, {unknown}): {exc}") from exc
 
@@ -156,22 +147,8 @@ def report_to_csv(report: ComparisonReport) -> str:
     """Render the report rows as CSV (floats at 6 decimal places)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_HEADER.split(","))
-    for r in report.records:
-        writer.writerow(
-            [
-                r.seller,
-                r.known_context,
-                r.unknown_context,
-                r.measure,
-                f"{r.similarity:.6f}",
-                f"{r.predicted_rate:.6f}",
-                f"{r.real_rate:.6f}",
-                f"{r.signed_error_pct:.6f}",
-                f"{r.abs_error_pct:.6f}",
-                f"{r.rate_difference:.6f}",
-            ]
-        )
+    writer.writerow(EvaluationRecord._fields)
+    writer.writerows([*r[:4], *map("{:.6f}".format, r[4:])] for r in report.records)
     return buffer.getvalue()
 
 

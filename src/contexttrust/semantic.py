@@ -247,26 +247,62 @@ def _default_transport(url: str, timeout: float = 30.0) -> str:
 
 
 def _extract_count(body: str, json_path: Optional[str], regex: Optional[str]) -> int:
+    """The count a response body reports; a malformed body or value raises ProviderError."""
     if json_path is not None:
-        value = json.loads(body)
+        try:
+            value = json.loads(body)
+        except ValueError as exc:
+            raise ProviderError(f"response is not JSON: {exc}") from exc
         for part in json_path.split("."):
             if not isinstance(value, dict) or part not in value:
                 raise ProviderError(f"response has no key path {json_path!r}")
             value = value[part]
-        return int(value)
-    assert regex is not None
-    match = re.search(regex, body)
-    if match is None:
-        raise ProviderError(f"response does not match extraction pattern {regex!r}")
-    return int(match.group(1).replace(",", ""))
+    else:
+        match = re.search(regex, body)
+        if match is None or match.group(1) is None:
+            raise ProviderError(f"response does not match extraction pattern {regex!r}")
+        value = match.group(1).replace(",", "")
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is int or isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    # A bool, a fraction, infinity, null or a container is not a count.
+    raise ProviderError(f"response count {value!r} is not an integer")
+
+
+def _check_remote_options(options: dict[str, object]) -> None:
+    """Every rule on a remote provider's options, keyed as RemoteProvider's keywords."""
+    if "{query}" not in options.get("endpoint", ""):
+        raise ConfigError("remote provider requires an endpoint with {query}")
+    if options.get("m") is None:
+        raise ConfigError("remote provider requires a fixed total 'm'")
+    if options["m"] <= 0:
+        raise ConfigError(f"fixed total m must be positive, got {options['m']}")
+    if options.get("interval_ms", 0) < 0:
+        raise ConfigError(f"interval_ms must be >= 0, got {options['interval_ms']}")
+    if options.get("retries", 1) < 1:
+        raise ConfigError(f"retries must be >= 1, got {options['retries']}")
+    if (options.get("json_path") is None) == (options.get("regex") is None):
+        raise ConfigError("exactly one of json_path or regex must be set")
+    if options.get("regex") is not None:
+        try:
+            groups = re.compile(options["regex"]).groups
+        except re.error as exc:
+            raise ConfigError(f"'regex' does not compile: {exc}") from exc
+        if groups < 1:
+            raise ConfigError("'regex' needs a capture group for the count")
 
 
 class RemoteProvider(CountProvider):
     """Counts from a search endpoint, one HTTP query per term and pair.
 
     Consecutive upstream requests are serialized and spaced by the
-    configured minimum interval.  Each query is retried a bounded number of
-    times; a count is never invented on failure.
+    configured minimum interval.  A transport failure is retried a bounded
+    number of times; a malformed response fails at once.  A count is never
+    invented on failure.
     """
 
     def __init__(
@@ -280,14 +316,10 @@ class RemoteProvider(CountProvider):
         api_key: Optional[str] = None,
         transport: Optional[Callable[[str], str]] = None,
     ):
-        if (json_path is None) == (regex is None):
-            raise ConfigError("exactly one of json_path or regex must be set")
-        if interval_ms < 0:
-            raise ConfigError(f"interval_ms must be >= 0, got {interval_ms}")
-        if m <= 0:
-            raise ConfigError(f"fixed total m must be positive, got {m}")
-        if retries < 1:
-            raise ConfigError(f"retries must be >= 1, got {retries}")
+        _check_remote_options(dict(
+            endpoint=endpoint, m=m, json_path=json_path, regex=regex,
+            interval_ms=interval_ms, retries=retries,
+        ))
         self.endpoint = endpoint
         self.m = m
         self.json_path = json_path
@@ -308,6 +340,7 @@ class RemoteProvider(CountProvider):
         return url
 
     def _query_count(self, query: str) -> int:
+        """One query's count; only a transport failure is retried."""
         url = self._url(query)
         last_error: Exception | None = None
         for _ in range(self.retries):
@@ -318,14 +351,14 @@ class RemoteProvider(CountProvider):
                 try:
                     body = self._transport(url)
                 except Exception as exc:
-                    self._last_request = time.monotonic()
                     last_error = exc
                     continue
-                self._last_request = time.monotonic()
+                finally:
+                    self._last_request = time.monotonic()
             try:
                 return _extract_count(body, self.json_path, self.regex)
-            except (ProviderError, ValueError, json.JSONDecodeError) as exc:
-                last_error = exc
+            except ProviderError as exc:
+                raise ProviderError(f"query {query!r}: {exc}") from exc
         raise ProviderError(f"query {query!r} failed after {self.retries} attempts: {last_error}")
 
     def counts(self, x: str, y: str) -> HitCounts:
@@ -409,17 +442,10 @@ def load_provider_config(path: str | Path) -> ProviderConfig:
         for key, convert in keys.items()
         if source.get(key) is not None
     }
-    if "{query}" not in options.get("endpoint", ""):
-        raise ConfigError(f"{path}: remote provider requires an endpoint with {{query}}")
-    if "m" not in options:
-        raise ConfigError(f"{path}: remote provider requires a fixed total 'm'")
-    if "regex" in options:
-        try:
-            groups = re.compile(options["regex"]).groups
-        except re.error as exc:
-            raise ConfigError(f"{path}: 'regex' does not compile: {exc}") from exc
-        if groups < 1:
-            raise ConfigError(f"{path}: 'regex' needs a capture group for the count")
+    try:
+        _check_remote_options(options)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return ProviderConfig(kind, options)
 
 

@@ -14,9 +14,6 @@ from .similarity import PathMode, tree_similarity
 class TrustPrediction:
     """One predicted rating for an unknown context from a known one."""
 
-    seller: str
-    known_context: str
-    unknown_context: str
     similarity: float
     known_rate: float
     predicted_rate: float
@@ -47,12 +44,4 @@ def predict_for_pair(
     """Compose a tree measure with the multiplication rule for one context pair."""
     known_rate = profile.aggregate(known)
     similarity = tree_similarity(tree, known, unknown, measure, mode)
-    predicted = predict_trust(known_rate, similarity)
-    return TrustPrediction(
-        seller=profile.seller,
-        known_context=known,
-        unknown_context=unknown,
-        similarity=similarity,
-        known_rate=known_rate,
-        predicted_rate=predicted,
-    )
+    return TrustPrediction(similarity, known_rate, predict_trust(known_rate, similarity))

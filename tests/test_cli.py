@@ -269,6 +269,15 @@ def test_eval_fixture_summary_and_report(capsys, tmp_path):
     assert first[5] == "4.050000"
 
 
+def test_eval_fixture_matches_golden_files(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    report_path = tmp_path / "report.csv"
+    code, stdout, stderr = run(capsys, *eval_args(tree, report_path))
+    assert code == 0, stderr
+    assert report_path.read_bytes() == (EVALFIX / "report.csv").read_bytes()
+    assert stdout == (EVALFIX / "summary.txt").read_text(encoding="utf-8")
+
+
 def test_eval_runs_are_byte_identical(capsys, tmp_path):
     tree, _ = weigh_fixture_tree(capsys, tmp_path)
     first = tmp_path / "r1.csv"

@@ -159,7 +159,7 @@ def test_rows_ordered_by_pair_then_measure(small_setup):
     pairs = [("s", "c0", "c2"), ("s", "c1", "c2")]
     report = run_comparison(profiles, tree, ["weighted", "eq1"], pairs)
     assert len(report.records) == 4
-    keys = [(r.known_context, r.measure) for r in report.records]
+    keys = [(r.known, r.measure) for r in report.records]
     assert keys == [("c0", "weighted"), ("c0", "eq1"), ("c1", "weighted"), ("c1", "eq1")]
 
 
@@ -169,8 +169,8 @@ def test_comparison_values_hand_checked(small_setup):
     (row,) = report.records
     # known 4.0, similarity 0.72, real 2.5 -> signed (2.88 - 2.5) / 5 * 100
     assert row.similarity == pytest.approx(0.72)
-    assert row.predicted_rate == pytest.approx(2.88)
-    assert row.real_rate == pytest.approx(2.5)
+    assert row.predicted == pytest.approx(2.88)
+    assert row.real == pytest.approx(2.5)
     assert row.signed_error_pct == pytest.approx(7.6)
     assert row.rate_difference == pytest.approx(1.5)
     assert report.mean_abs_error["weighted"] == pytest.approx(7.6)

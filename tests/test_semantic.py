@@ -393,6 +393,35 @@ def test_remote_regex_extraction():
     assert provider.counts("a", "a").fx == 12345
 
 
+@pytest.mark.parametrize(
+    "body, extract",
+    [
+        ("no digits here", {"json_path": None, "regex": r"(\d+)?"}),
+        ('{"stats": {"total": null}}', {}),
+        ('{"stats": {"total": [3]}}', {}),
+        ('{"stats": {"total": "many"}}', {}),
+        ('{"stats": {"total": Infinity}}', {}),
+        ("<html>busy</html>", {}),
+        ('{"stats": {}}', {}),
+        ('{"stats": {"total": 12.7}}', {}),
+        ('{"stats": {"total": true}}', {}),
+    ],
+    ids=["regex-group-unset", "null", "list", "text", "infinity", "not-json", "no-key",
+         "fraction", "boolean"],
+)
+def test_malformed_body_fails_at_once_as_provider_error(body, extract):
+    calls = []
+
+    def transport(url):
+        calls.append(url)
+        return body
+
+    provider = remote(transport, retries=3, **extract)
+    with pytest.raises(ProviderError, match="query"):
+        provider.counts("a", "a")
+    assert len(calls) == 1
+
+
 def test_remote_inconsistent_counts_rejected():
     counts_by_query = {'"a"': 10, '"b"': 10, '"a" "b"': 500}
     provider = remote(FakeTransport(lambda q: counts_by_query[q]))
@@ -421,6 +450,10 @@ def test_remote_requires_exactly_one_extraction_rule():
         remote(lambda url: "", json_path=None, regex=None)
     with pytest.raises(ConfigError):
         remote(lambda url: "", json_path="a", regex="b")
+    with pytest.raises(ConfigError, match="{query}"):
+        remote(lambda url: "", endpoint="https://e.test/search")
+    with pytest.raises(ConfigError, match="capture group"):
+        remote(lambda url: "", json_path=None, regex=r"\d+")
 
 
 def test_remote_key_placeholder_requires_credential():
@@ -529,6 +562,14 @@ def test_remote_config_env_credential(tmp_path, monkeypatch):
           "extract": {"regex": "("}}, "'regex' does not compile"),
         ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10,
           "extract": {"regex": r"\d+"}}, "'regex' needs a capture group"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 0,
+          "extract": {"json_path": "n"}}, "m must be positive"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10, "retries": 0,
+          "extract": {"json_path": "n"}}, "retries must be >= 1"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10, "interval_ms": -1,
+          "extract": {"json_path": "n"}}, "interval_ms must be >= 0"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10,
+          "extract": {"json_path": "n", "regex": "(n)"}}, "exactly one of json_path or regex"),
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, payload, message):
