@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .dataset import RATE_MAX, TrustProfile
 from .errors import (
@@ -50,6 +51,8 @@ class EvaluationRecord(NamedTuple):
 
 
 REPORT_HEADER = ",".join(EvaluationRecord._fields)
+_ROW = ",".join(["%s"] * 4 + ["%.6f"] * 6) + "\n"
+_NEEDS_QUOTING = re.compile(r'[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,34 @@ def run_comparison(
 
 
 def report_to_csv(report: ComparisonReport) -> str:
-    """Render the report rows as CSV (floats at 6 decimal places)."""
+    """Render the report rows as CSV (floats at 6 decimal places).
+
+    Each row is one %-format; a row whose text fields need quoting goes
+    through ``csv.writer`` instead.
+    """
+    text = _with_header(map(_ROW.__mod__, report.records))
+    lines = len(report.records) + 1
+    # Numbers render without commas, quotes or line breaks, so any extra one is in a text field.
+    if '"' in text or "\r" in text or text.count(",") != 9 * lines or text.count("\n") != lines:
+        text = _with_header(map(_csv_row, report.records))
+    return text
+
+
+def _with_header(rows: Iterable[str]) -> str:
+    # Written one row at a time: a joined list would hold every row string at once.
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(EvaluationRecord._fields)
-    writer.writerows([*r[:4], *map("{:.6f}".format, r[4:])] for r in report.records)
+    buffer.write(REPORT_HEADER + "\n")
+    buffer.writelines(rows)
+    return buffer.getvalue()
+
+
+def _csv_row(record: EvaluationRecord) -> str:
+    if not _NEEDS_QUOTING.search("".join(record[:4])):
+        return _ROW % record
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(
+        [*record[:4], *("%.6f" % value for value in record[4:])]
+    )
     return buffer.getvalue()
 
 

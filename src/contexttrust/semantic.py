@@ -13,10 +13,10 @@ import json
 import math
 import os
 import re
-import threading
 import time
 import urllib.parse
 import urllib.request
+import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -108,6 +108,9 @@ def nss(counts: HitCounts, epsilon: float = DEFAULT_EPSILON) -> float:
     return min(1.0, max(epsilon, 1.0 - distance))
 
 
+_TOKEN = re.compile(r"\w+")
+
+
 def _phrase_pattern(term: str) -> re.Pattern[str]:
     # Whole-word match; a multi-word term matches as a contiguous phrase.
     words = term.lower().split()
@@ -133,16 +136,26 @@ class PairCache:
     """Persistent term-pair cache: one TSV line per pair.
 
     Line format: ``term_a<TAB>term_b<TAB>fx<TAB>fy<TAB>fxy<TAB>m`` with the
-    terms lowercased and lexicographically ordered.  Reads are lock-free on
-    the in-memory table; writes are serialized and appended to the file.
+    terms lowercased and lexicographically ordered.  Every ``put`` appends one
+    whole line, so a last line without its newline was cut off by a run that
+    died mid-write: it is dropped with a warning, and the next ``put`` cuts
+    it from the file before appending.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[tuple[str, str], HitCounts] = {}
-        self._lock = threading.Lock()
+        self._torn_at: Optional[int] = None
         if self.path is not None and self.path.exists():
-            self._entries.update(read_counts_table(self.path))
+            data = self.path.read_bytes()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                self._torn_at = end
+                warnings.warn(
+                    f"{self.path}: dropped a torn last line without a newline: {data[end:]!r}",
+                    stacklevel=2,
+                )
+            self._entries.update(_parse_counts_table(data[:end].decode("utf-8-sig"), self.path))
 
     def get(self, x: str, y: str) -> Optional[HitCounts]:
         return _lookup(self._entries, x, y)
@@ -150,18 +163,22 @@ class PairCache:
     def put(self, x: str, y: str, counts: HitCounts) -> None:
         (term_a, term_b), flipped = _pair_key(x, y)
         stored = counts.swapped() if flipped else counts
-        line = f"{term_a}\t{term_b}\t{stored.fx}\t{stored.fy}\t{stored.fxy}\t{stored.m}\n"
-        with self._lock:
-            self._entries[(term_a, term_b)] = stored
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line)
+        self._entries[(term_a, term_b)] = stored
+        if self.path is not None:
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(f"{term_a}\t{term_b}\t{stored.fx}\t{stored.fy}\t{stored.fxy}\t{stored.m}\n")
 
 
 def read_counts_table(path: str | Path) -> dict[tuple[str, str], HitCounts]:
     """Read a pair-counts TSV (cache file and static table share the format)."""
+    return _parse_counts_table(Path(path).read_text(encoding="utf-8-sig"), path)
+
+
+def _parse_counts_table(text: str, path: str | Path) -> dict[tuple[str, str], HitCounts]:
     table: dict[tuple[str, str], HitCounts] = {}
-    text = Path(path).read_text(encoding="utf-8-sig")
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -206,14 +223,21 @@ class StaticTableProvider(CountProvider):
 
 
 class CorpusProvider(CountProvider):
-    """Counts obtained by scanning a directory of text documents, listed at the first lookup.
+    """Counts obtained from a directory of text documents, listed and read at the first lookup.
 
     A document matches a term it contains as a case-insensitive whole word (a multi-word
     term as a contiguous phrase).  Every lookup counts the same documents and m.
+
+    Each term's matching documents are found once, as a bitset (a Python int, bit i for
+    document i).  A token index proposes candidates and ``_phrase_pattern`` decides, except
+    for an ASCII one-token term on an ASCII document, where the index is exact: the regex
+    folds case per character (``ſ`` matches ``s``, the Kelvin sign matches ``k``), which a
+    lookup of lowercased tokens cannot follow.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        self._docs_by_term: dict[str, int] = {}
 
     @cached_property
     def _files(self) -> list[Path]:
@@ -224,20 +248,53 @@ class CorpusProvider(CountProvider):
             raise CorpusError(f"corpus directory is empty: {self.directory}")
         return files
 
-    def counts(self, x: str, y: str) -> HitCounts:
-        pattern_x, pattern_y = _phrase_pattern(x), _phrase_pattern(y)
-        fx = fy = fxy = 0
+    @cached_property
+    def _index(self) -> tuple[list[str], dict[str, int], int]:
+        """Each document's text, each token's ASCII documents, and the non-ASCII documents."""
+        texts = []
         for path in self._files:
             try:
-                text = path.read_text(encoding="utf-8")
+                texts.append(path.read_text(encoding="utf-8"))
             except (OSError, UnicodeDecodeError) as exc:
                 raise CorpusError(f"cannot read corpus document {path}: {exc}") from exc
-            has_x = pattern_x.search(text) is not None
-            has_y = pattern_y.search(text) is not None
-            fx += has_x
-            fy += has_y
-            fxy += has_x and has_y
-        return HitCounts(fx, fy, fxy, len(self._files))
+        tokens: dict[str, int] = {}
+        non_ascii = 0
+        for i, text in enumerate(texts):
+            bit = 1 << i
+            if not text.isascii():
+                non_ascii |= bit
+                continue
+            for token in set(_TOKEN.findall(text.lower())):
+                tokens[token] = tokens.get(token, 0) | bit
+        return texts, tokens, non_ascii
+
+    def _docs_with(self, term: str, pattern: re.Pattern[str]) -> int:
+        texts, tokens, non_ascii = self._index
+        lowered = term.lower()
+        words = _TOKEN.findall(lowered)
+        found, confirm = 0, (1 << len(texts)) - 1
+        if term.isascii():
+            # Every \w run of a match is a whole token of an ASCII document.
+            for word in words:
+                confirm &= tokens.get(word, 0)
+            if len(words) == 1 and lowered.split() == words:
+                found, confirm = confirm & ~non_ascii, non_ascii
+            else:
+                confirm |= non_ascii
+        while confirm:
+            bit = confirm & -confirm
+            confirm ^= bit
+            if pattern.search(texts[bit.bit_length() - 1]):
+                found |= bit
+        return found
+
+    def counts(self, x: str, y: str) -> HitCounts:
+        # Both patterns first: a blank term is a DomainError before the corpus is read.
+        patterns = {t: _phrase_pattern(t) for t in (x, y) if t not in self._docs_by_term}
+        for term, pattern in patterns.items():
+            self._docs_by_term[term] = self._docs_with(term, pattern)
+        bx, by = self._docs_by_term[x], self._docs_by_term[y]
+        return HitCounts(bx.bit_count(), by.bit_count(), (bx & by).bit_count(), len(self._files))
 
 
 def _default_transport(url: str, timeout: float = 30.0) -> str:
@@ -299,10 +356,9 @@ def _check_remote_options(options: dict[str, object]) -> None:
 class RemoteProvider(CountProvider):
     """Counts from a search endpoint, one HTTP query per term and pair.
 
-    Consecutive upstream requests are serialized and spaced by the
-    configured minimum interval.  A transport failure is retried a bounded
-    number of times; a malformed response fails at once.  A count is never
-    invented on failure.
+    Consecutive upstream requests are spaced by the configured minimum
+    interval.  A transport failure is retried a bounded number of times; a
+    malformed response fails at once.  A count is never invented on failure.
     """
 
     def __init__(
@@ -328,7 +384,6 @@ class RemoteProvider(CountProvider):
         self.retries = retries
         self.api_key = api_key
         self._transport = transport or _default_transport
-        self._lock = threading.Lock()
         self._last_request = 0.0
 
     def _url(self, query: str) -> str:
@@ -344,17 +399,16 @@ class RemoteProvider(CountProvider):
         url = self._url(query)
         last_error: Exception | None = None
         for _ in range(self.retries):
-            with self._lock:
-                wait = self._last_request + self.interval - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
-                try:
-                    body = self._transport(url)
-                except Exception as exc:
-                    last_error = exc
-                    continue
-                finally:
-                    self._last_request = time.monotonic()
+            wait = self._last_request + self.interval - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
+            try:
+                body = self._transport(url)
+            except Exception as exc:
+                last_error = exc
+                continue
+            finally:
+                self._last_request = time.monotonic()
             try:
                 return _extract_count(body, self.json_path, self.regex)
             except ProviderError as exc:

@@ -1,3 +1,5 @@
+import csv
+import io
 import statistics
 
 import pytest
@@ -15,6 +17,8 @@ from contexttrust.errors import (
 )
 from contexttrust.evaluation import (
     REPORT_HEADER,
+    ComparisonReport,
+    EvaluationRecord,
     error_percentage,
     format_summary,
     pearson,
@@ -226,6 +230,22 @@ def test_report_csv_layout(small_setup):
     assert lines[0] == REPORT_HEADER
     assert lines[1].startswith("s,c0,c2,weighted,0.720000,2.880000,2.500000,")
     assert len(lines) == 2
+
+
+def test_report_csv_quotes_text_like_csv_writer():
+    numbers = (0.72, 2.88, 2.5, 7.6, 7.6, 1.0)
+    records = (
+        EvaluationRecord("plain", "c0", "c1", "weighted", *numbers),
+        EvaluationRecord('Smith, "Jr"', "c0", "Books, used", "weighted", *numbers),
+        EvaluationRecord("s", 'say "hi"', "line\nbreak", "eq1", *numbers),
+        EvaluationRecord("s", "carriage\rreturn", "c1", "eq1", *numbers),
+    )
+    report = ComparisonReport(records, {}, None)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(EvaluationRecord._fields)
+    writer.writerows([*r[:4], *map("{:.6f}".format, r[4:])] for r in records)
+    assert report_to_csv(report) == buffer.getvalue()
 
 
 def test_summary_lists_measures(small_setup):

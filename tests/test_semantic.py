@@ -1,9 +1,13 @@
+import itertools
 import json
 import math
 import shutil
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import valid_hit_counts
@@ -23,6 +27,7 @@ from contexttrust.semantic import (
     PairCache,
     RemoteProvider,
     StaticTableProvider,
+    _phrase_pattern,
     load_provider_config,
     make_provider,
     ngd,
@@ -216,6 +221,42 @@ def test_corpus_document_set_is_fixed_at_first_lookup(tiny_corpus):
     assert provider.counts("laptop", "phone") == before == HitCounts(2, 1, 0, 3)
 
 
+# Words whose case folding differs between re.IGNORECASE and str.lower(): the long s
+# and the Kelvin sign fold to ASCII letters, and the dotted capital I lowers to two
+# characters.  Punctuated and multi-word entries exercise the phrase pattern.
+FOLDING_WORDS = ["s", "S", "ſ", "star", "ſtar", "tar", "k", "K", "\u212a", "i", "I", "İ", "ı",
+                 "ß", "ss", "ẞ", "é", "É", "e", "c", "c++", "++", "a", "a_b", "1", "-", "x", "x y"]
+
+
+def corpus_documents():
+    pieces = st.sampled_from(FOLDING_WORDS + [" ", " ", ".", "-", "\n", ", "])
+    return st.lists(st.lists(pieces, max_size=8).map("".join), min_size=1, max_size=6)
+
+
+@settings(deadline=None)
+@example(documents=["a star", "a ſtar", "STAR"], terms=["star", "ſtar"])
+@example(documents=["a \u212a", "k", "ı i", "İ"], terms=["k", "K", "\u212a", "i", "İ"])
+@example(documents=["c", "c++ x", "++", "x-y", "x, y", "é c++ x y"], terms=["c++", "++", "c", "x y"])
+@given(
+    documents=corpus_documents(),
+    terms=st.lists(
+        st.lists(st.sampled_from(FOLDING_WORDS), min_size=1, max_size=3).map(" ".join),
+        min_size=1, max_size=5,
+    ),
+)
+def test_corpus_counts_equal_per_document_regex(documents, terms):
+    with tempfile.TemporaryDirectory() as directory:
+        for i, text in enumerate(documents):
+            Path(directory, f"d{i}.txt").write_text(text, encoding="utf-8")
+        provider = CorpusProvider(directory)
+        for x, y in itertools.product(terms, repeat=2):
+            has_x = [_phrase_pattern(x).search(text) is not None for text in documents]
+            has_y = [_phrase_pattern(y).search(text) is not None for text in documents]
+            both = sum(a and b for a, b in zip(has_x, has_y))
+            expected = HitCounts(sum(has_x), sum(has_y), both, len(documents))
+            assert provider.counts(x, y) == expected, (x, y)
+
+
 # --- static tables and caching --------------------------------------------------
 
 def test_static_table_lookup_and_orientation(tmp_path):
@@ -245,6 +286,12 @@ def test_counts_table_rejects_bad_rows(tmp_path):
     table.write_text("a\tb\t5\t5\t9\t10\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="line 1"):
         read_counts_table(table)
+
+
+def test_static_table_may_lack_final_newline(tmp_path):
+    table = tmp_path / "t.tsv"
+    table.write_text("a\tb\t3\t2\t1\t10\nc\td\t5\t5\t5\t300", encoding="utf-8")
+    assert StaticTableProvider.from_file(table).counts("c", "d") == HitCounts(5, 5, 5, 300)
 
 
 def test_counts_table_may_start_with_bom(tmp_path):
@@ -303,6 +350,41 @@ def test_cache_may_start_with_bom(tmp_path):
     reloaded = PairCache(path)
     assert reloaded.get("a", "b") == HitCounts(3, 2, 1, 10)
     assert reloaded.get("c", "d") == HitCounts(4, 4, 4, 10)
+
+
+# A run killed inside put: "c d 5 5 5 300" cut after "30", and a term cut inside "é".
+TORN_TAILS = [b"c\td\t5\t5\t5\t30", "caf\u00e9".encode()[:-1]]
+
+
+@pytest.mark.parametrize("tail", TORN_TAILS, ids=["inside-m", "inside-character"])
+def test_cache_drops_torn_last_line(tmp_path, tail):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\n" + tail)
+    with pytest.warns(UserWarning, match="cache.tsv"):
+        cache = PairCache(path)
+    assert cache.get("a", "b") == HitCounts(3, 2, 1, 10)
+    assert cache.get("c", "d") is None
+
+
+@pytest.mark.parametrize("tail", TORN_TAILS, ids=["inside-m", "inside-character"])
+def test_cache_put_after_torn_line_starts_a_fresh_line(tmp_path, tail):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\n" + tail)
+    with pytest.warns(UserWarning):
+        cache = PairCache(path)
+    cache.put("e", "f", HitCounts(1, 1, 1, 10))
+    assert path.read_text(encoding="utf-8") == "a\tb\t3\t2\t1\t10\ne\tf\t1\t1\t1\t10\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reloaded = PairCache(path)
+    assert reloaded.get("e", "f") == HitCounts(1, 1, 1, 10)
+
+
+def test_cache_malformed_line_before_the_last_is_an_error(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("a\tb\t3\t2\nc\td\t5\t5\t5\t300\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 1"):
+        PairCache(path)
 
 
 def test_warm_cache_equals_cold_cache(tiny_corpus, tmp_path):
