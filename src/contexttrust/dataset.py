@@ -31,9 +31,9 @@ class Review:
 
 @dataclass(frozen=True)
 class ContextRatings:
-    """All reviews a seller received in one context, plus their mean rate."""
+    """How many reviews a seller received in one context, and their mean rate."""
 
-    reviews: tuple[Review, ...]
+    count: int
     aggregate: float
 
 
@@ -110,15 +110,12 @@ def build_profiles(reviews_by_seller: Mapping[str, Sequence[Review]]) -> dict[st
     """Group reviews by seller then context; the aggregate is the mean rate."""
     profiles: dict[str, TrustProfile] = {}
     for seller, reviews in reviews_by_seller.items():
-        grouped: dict[str, list[Review]] = {}
+        grouped: dict[str, list[int]] = {}
         for review in reviews:
-            grouped.setdefault(review.context, []).append(review)
+            grouped.setdefault(review.context, []).append(review.rate)
         contexts = {
-            context: ContextRatings(
-                reviews=tuple(items),
-                aggregate=sum(r.rate for r in items) / len(items),
-            )
-            for context, items in grouped.items()
+            context: ContextRatings(count=len(rates), aggregate=sum(rates) / len(rates))
+            for context, rates in grouped.items()
         }
         profiles[seller] = TrustProfile(seller=seller, contexts=contexts)
     return profiles
@@ -139,7 +136,7 @@ def filter_profiles(
         contexts = {
             context: ratings
             for context, ratings in profile.contexts.items()
-            if len(ratings.reviews) >= min_ratings
+            if ratings.count >= min_ratings
         }
         if len(contexts) >= min_contexts:
             kept[seller] = TrustProfile(seller=seller, contexts=contexts)

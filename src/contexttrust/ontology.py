@@ -13,6 +13,7 @@ new one, so concurrent reads need no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -124,6 +125,21 @@ class OntologyTree:
             raise UnknownNodeError(f"unknown node {node_id!r}")
         return node_id
 
+    @cached_property
+    def depths(self) -> dict[str, int]:
+        """Each node's edge count below the root, computed on first use."""
+        depths = {self.root: 0}
+        for node in self.nodes:
+            chain = []
+            while node not in depths:
+                chain.append(node)
+                node = self.parents[node]
+            depth = depths[node]
+            for name in reversed(chain):
+                depth += 1
+                depths[name] = depth
+        return depths
+
 
 def parse_tree(text: str, source: str = "<string>") -> OntologyTree:
     """Parse a tree document from text."""
@@ -182,37 +198,52 @@ def dump_tree(tree: OntologyTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _climb(parents: dict[str, str], node: str, top: str) -> list[str]:
+    """Inclusive node sequence from node up to its ancestor top."""
+    path = [node]
+    while node != top:
+        node = parents[node]
+        path.append(node)
+    return path
+
+
 def root_path(tree: OntologyTree, a: str) -> list[str]:
     """Inclusive node sequence from a up to the root."""
+    return _climb(tree.parents, tree.require(a), tree.root)
+
+
+def lowest_common_ancestor(tree: OntologyTree, a: str, b: str) -> str:
+    """The deepest node that lies on both root paths."""
     tree.require(a)
-    path = [a]
-    while path[-1] != tree.root:
-        path.append(tree.parents[path[-1]])
-    return path
+    tree.require(b)
+    depths, parents = tree.depths, tree.parents
+    depth_a, depth_b = depths[a], depths[b]
+    for _ in range(depth_a - depth_b):
+        a = parents[a]
+    for _ in range(depth_b - depth_a):
+        b = parents[b]
+    while a != b:
+        a, b = parents[a], parents[b]
+    return a
 
 
 def path_between(tree: OntologyTree, a: str, b: str) -> NodePath:
     """The unique path a -> lowest common ancestor -> b."""
-    up_a = root_path(tree, a)
-    up_b = root_path(tree, b)
-    ancestors_a = {name: depth for depth, name in enumerate(up_a)}
-    for depth_b, name in enumerate(up_b):
-        if name in ancestors_a:
-            depth_a = ancestors_a[name]
-            break
-    else:  # pragma: no cover - both paths end at the root
-        raise TreeValidationError("paths share no ancestor; tree is corrupt")
-
-    nodes = tuple(up_a[: depth_a + 1] + up_b[:depth_b][::-1])  # a .. lca .. b
-    # Each root path lists a child just before its parent.
-    ascending = zip(up_a[1 : depth_a + 1], up_a[:depth_a])
-    descending = reversed(list(zip(up_b[1 : depth_b + 1], up_b[:depth_b])))
+    lca = lowest_common_ancestor(tree, a, b)
+    up_a = _climb(tree.parents, a, lca)
+    up_b = _climb(tree.parents, b, lca)
+    nodes = (*up_a, *reversed(up_b[:-1]))  # a .. lca .. b
+    # Each climb lists a child just before its parent.
+    ascending = zip(up_a[1:], up_a)
+    descending = reversed(list(zip(up_b[1:], up_b)))
     return NodePath(nodes=nodes, edges=(*ascending, *descending))
 
 
 def intermediate_count(tree: OntologyTree, a: str, b: str) -> int:
     """Number of nodes strictly between a and b on their unique path."""
-    return max(0, len(path_between(tree, a, b).nodes) - 2)
+    depths = tree.depths
+    lca = lowest_common_ancestor(tree, a, b)
+    return max(0, depths[a] + depths[b] - 2 * depths[lca] - 1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Iterable
 
 from .errors import ArityError, DomainError, InvalidContextError, MissingWeightError
-from .ontology import OntologyTree, intermediate_count, path_between, root_path
+from .ontology import OntologyTree, intermediate_count, lowest_common_ancestor, path_between
 
 
 class PathMode(str, Enum):
@@ -97,9 +97,10 @@ def inverse_distance_similarity(tree: OntologyTree, a: str, b: str) -> float:
 
 def shared_path_ratio(tree: OntologyTree, a: str, b: str) -> float:
     """Shared over total nodes of the two inclusive root paths."""
-    set_a = set(root_path(tree, a))
-    set_b = set(root_path(tree, b))
-    return len(set_a & set_b) / len(set_a | set_b)
+    # A root path from depth d holds d + 1 nodes; the two share the LCA's.
+    depths = tree.depths
+    shared = depths[lowest_common_ancestor(tree, a, b)] + 1
+    return shared / (depths[a] + depths[b] + 2 - shared)
 
 
 def keyword_similarity(ka: KeywordContext, kb: KeywordContext) -> float:

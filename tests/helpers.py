@@ -46,6 +46,20 @@ def brute_force_unique_path(tree: OntologyTree, a: str, b: str) -> list[str]:
     return paths[0]
 
 
+def oriented_edges(tree: OntologyTree, nodes: list[str]) -> list[tuple[str, str]]:
+    """The (parent, child) edges along a node sequence, in path order."""
+    return [(v, u) if tree.parents.get(u) == v else (u, v) for u, v in zip(nodes, nodes[1:])]
+
+
+def brute_force_root_set(tree: OntologyTree, node: str) -> set[str]:
+    """The nodes of node's inclusive root path, by plain parent lookups."""
+    seen = {node}
+    while node in tree.parents:
+        node = tree.parents[node]
+        seen.add(node)
+    return seen
+
+
 @st.composite
 def tree_edge_lists(draw, max_nodes: int = 50, weighted: bool = False):
     """Random rooted trees as edge triples; node i attaches to a lower-numbered parent."""

@@ -3,11 +3,15 @@ import os
 import shutil
 import stat
 
+import pytest
+
 from helpers import DATA_DIR, chain_tree
+from contexttrust import semantic
 from contexttrust.cli import main
-from contexttrust.ontology import dump_tree
+from contexttrust.ontology import dump_tree, load_tree
 
 EVALFIX = DATA_DIR / "evalfix"
+MAKE_PROVIDER = semantic.make_provider
 
 
 def run(capsys, *argv):
@@ -29,7 +33,7 @@ def weigh_fixture_tree(capsys, tmp_path):
     return out, stdout
 
 
-def eval_args(tree, out):
+def eval_args(tree, out, measures=("weighted", "eq1")):
     return [
         "eval",
         "--tree", tree,
@@ -37,8 +41,7 @@ def eval_args(tree, out):
         "--reviews", f"pageturner={EVALFIX / 'pageturner.csv'}",
         "--reviews", f"allgoods={EVALFIX / 'allgoods.csv'}",
         "--pairs", EVALFIX / "pairs.csv",
-        "--measure", "weighted",
-        "--measure", "eq1",
+        *(arg for measure in measures for arg in ("--measure", measure)),
         "--min-contexts", "2",
         "--min-ratings", "5",
         "--out", out,
@@ -99,6 +102,54 @@ def test_weigh_warm_cache_needs_no_provider(capsys, tmp_path):
                           "--cache", cache, "--out", out2)
     assert code == 0, stderr
     assert out1.read_bytes() == out2.read_bytes()
+
+
+class KilledAfter(Exception):
+    """Stands in for a run that dies part way through weighing."""
+
+
+def recording_provider(monkeypatch, fail_after=None):
+    """Make the CLI's provider record each lookup, and raise after fail_after of them."""
+    lookups = []
+
+    class Recording(semantic.CountProvider):
+        def __init__(self, inner):
+            self.inner = inner
+
+        def counts(self, x, y):
+            if fail_after is not None and len(lookups) == fail_after:
+                raise KilledAfter(f"killed after {fail_after} edges")
+            lookups.append((x, y))
+            return self.inner.counts(x, y)
+
+    monkeypatch.setattr(semantic, "make_provider", lambda config: Recording(MAKE_PROVIDER(config)))
+    return lookups
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_weigh_resumes_from_cache_after_a_kill(capsys, tmp_path, monkeypatch, k):
+    tree = EVALFIX / "store_tree.tsv"
+    edges = [(p, c) for p, c, _ in load_tree(tree).edge_list()]
+    reference, out, cache = tmp_path / "reference.tsv", tmp_path / "out.tsv", tmp_path / "cache.tsv"
+    weigh = ["weigh", "--tree", tree, "--provider", EVALFIX / "provider.json"]
+    code, expected_stdout, stderr = run(capsys, *weigh, "--out", reference)
+    assert code == 0, stderr
+
+    out.write_text("earlier output\n", encoding="utf-8")
+    first = recording_provider(monkeypatch, fail_after=k)
+    code, stdout, stderr = run(capsys, *weigh, "--cache", cache, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert f"killed after {k} edges" in stderr
+    assert first == edges[:k]
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+    resumed = recording_provider(monkeypatch)
+    code, stdout, stderr = run(capsys, *weigh, "--cache", cache, "--out", out)
+    assert code == 0, stderr
+    assert resumed == edges[k:]
+    assert stdout == expected_stdout
+    assert out.read_bytes() == reference.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.tsv", "out.tsv", "reference.tsv"]
 
 
 def test_weigh_annotates_floor_edges(capsys, tmp_path):
@@ -276,6 +327,16 @@ def test_eval_fixture_matches_golden_files(capsys, tmp_path):
     assert code == 0, stderr
     assert report_path.read_bytes() == (EVALFIX / "report.csv").read_bytes()
     assert stdout == (EVALFIX / "summary.txt").read_text(encoding="utf-8")
+
+
+def test_eval_fixture_three_measures_match_golden_files(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    report_path = tmp_path / "report.csv"
+    measures = ("weighted", "eq1", "shared")
+    code, stdout, stderr = run(capsys, *eval_args(tree, report_path, measures))
+    assert code == 0, stderr
+    assert report_path.read_bytes() == (EVALFIX / "report_shared.csv").read_bytes()
+    assert stdout == (EVALFIX / "summary_shared.txt").read_text(encoding="utf-8")
 
 
 def test_eval_runs_are_byte_identical(capsys, tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import DATA_DIR
 from contexttrust.dataset import (
+    ContextRatings,
     Review,
     build_profiles,
     filter_profiles,
@@ -91,6 +92,18 @@ def test_grouping_by_context():
     assert set(profile.contexts) == {"Books", "Toys"}
     assert profile.aggregate("Books") == 3.0
     assert profile.aggregate("Toys") == 4.0
+
+
+def test_context_ratings_keep_count_and_mean_only():
+    reviews = make_reviews("Books", [4, 2, 5]) + make_reviews("Toys", [3])
+    profile = build_profiles({"s": reviews})["s"]
+    assert profile.contexts["Books"] == ContextRatings(count=3, aggregate=11 / 3)
+    assert profile.contexts["Toys"] == ContextRatings(count=1, aggregate=3.0)
+
+
+def test_filter_keeps_context_at_exact_threshold():
+    profiles = make_profiles({"s": (5, 4)})
+    assert set(filter_profiles(profiles, 1, 5)["s"].contexts) == {"ctx0"}
 
 
 def test_missing_context_is_reported():

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, settings
 
-from helpers import brute_force_unique_path, random_tree, tree_with_pair
+from helpers import (
+    brute_force_root_set,
+    brute_force_unique_path,
+    chain_tree,
+    oriented_edges,
+    random_tree,
+    tree_with_pair,
+)
 from contexttrust.errors import (
     DomainError,
     MissingPairError,
@@ -14,6 +21,7 @@ from contexttrust.ontology import (
     dump_tree,
     intermediate_count,
     load_tree,
+    lowest_common_ancestor,
     parse_tree,
     path_between,
     root_path,
@@ -227,7 +235,42 @@ def test_path_matches_brute_force_enumeration(tree_pair):
     expected = brute_force_unique_path(tree, a, b)
     path = path_between(tree, a, b)
     assert list(path.nodes) == expected
+    assert list(path.edges) == oriented_edges(tree, expected)
     assert intermediate_count(tree, a, b) == max(0, len(expected) - 2)
+
+
+@given(tree_with_pair())
+def test_lca_and_depths_match_brute_force(tree_pair):
+    tree, a, b = tree_pair
+    assert tree.depths == {n: len(brute_force_root_set(tree, n)) - 1 for n in tree.nodes}
+    common = brute_force_root_set(tree, a) & brute_force_root_set(tree, b)
+    lca = lowest_common_ancestor(tree, a, b)
+    assert lca in common
+    assert tree.depths[lca] == len(common) - 1
+
+
+@given(tree_with_pair())
+def test_path_queries_reject_unknown_nodes(tree_pair):
+    tree, a, _ = tree_pair
+    for query in (path_between, intermediate_count, lowest_common_ancestor):
+        with pytest.raises(UnknownNodeError, match="'ghost'"):
+            query(tree, "ghost", a)
+        with pytest.raises(UnknownNodeError, match="'ghost'"):
+            query(tree, a, "ghost")
+    with pytest.raises(UnknownNodeError, match="'ghost'"):
+        root_path(tree, "ghost")
+
+
+def test_deep_chain_depths_survive_weighing():
+    # 5000 nodes, depth 4999: every walk must be a loop, not a recursion.
+    tree = chain_tree([None] * 4999)
+    expected = {f"c{i}": i for i in range(5000)}
+    assert tree.depths == expected
+    weighted, _ = weigh_tree(tree, FixedCountsProvider(HitCounts(10, 1, 1, 10**10)))
+    assert weighted.depths == expected
+    assert lowest_common_ancestor(weighted, "c4999", "c2500") == "c2500"
+    assert intermediate_count(weighted, "c0", "c4999") == 4998
+    assert len(path_between(weighted, "c4999", "c0").edges) == 4999
 
 
 @given(random_tree(weighted=True))

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_unique_path, chain_tree, tree_with_pair
+from helpers import (
+    brute_force_root_set,
+    brute_force_unique_path,
+    chain_tree,
+    oriented_edges,
+    tree_with_pair,
+)
 from contexttrust.errors import (
     ArityError,
     DomainError,
@@ -13,6 +19,7 @@ from contexttrust.errors import (
 from contexttrust.ontology import parse_tree
 from contexttrust.similarity import (
     KeywordContext,
+    TREE_MEASURES,
     PathMode,
     TaskContext,
     inverse_distance_similarity,
@@ -254,25 +261,50 @@ def test_task_symmetry_and_range(data):
 @given(tree_with_pair(max_nodes=30, weighted=True))
 def test_measures_match_explicit_path_enumeration(tree_pair):
     # Independent recomputation from the brute-force path, not the LCA walk.
+    # The LCA walk must give the same floats, so equality is exact.
     tree, a, b = tree_pair
     nodes = brute_force_unique_path(tree, a, b)
 
     product = 1.0
-    for u, v in zip(nodes, nodes[1:]):
-        edge = (v, u) if tree.parents.get(u) == v else (u, v)
+    for edge in oriented_edges(tree, nodes):
         product *= tree.weights[edge]
-    assert weighted_path_similarity(tree, a, b) == pytest.approx(product)
+    assert weighted_path_similarity(tree, a, b) == product
 
     intermediates = max(0, len(nodes) - 2)
-    assert inverse_distance_similarity(tree, a, b) == pytest.approx(
-        1.0 / max(1, intermediates)
-    )
+    assert inverse_distance_similarity(tree, a, b) == 1.0 / max(1, intermediates)
 
-    def climb(node):
-        seen = [node]
-        while seen[-1] in tree.parents:
-            seen.append(tree.parents[seen[-1]])
-        return set(seen)
+    sa, sb = brute_force_root_set(tree, a), brute_force_root_set(tree, b)
+    assert shared_path_ratio(tree, a, b) == len(sa & sb) / len(sa | sb)
 
-    sa, sb = climb(a), climb(b)
-    assert shared_path_ratio(tree, a, b) == pytest.approx(len(sa & sb) / len(sa | sb))
+
+@given(tree_with_pair(weighted=True))
+def test_tree_measures_reject_unknown_nodes(tree_pair):
+    tree, a, _ = tree_pair
+    for measure in TREE_MEASURES:
+        with pytest.raises(UnknownNodeError, match="'ghost'"):
+            tree_similarity(tree, "ghost", a, measure)
+        with pytest.raises(UnknownNodeError, match="'ghost'"):
+            tree_similarity(tree, a, "ghost", measure)
+
+
+def left_to_right_product(weights):
+    product = 1.0
+    for weight in weights:
+        product *= weight
+    return product
+
+
+def test_tree_measures_on_a_deep_chain():
+    # 5000 nodes, depth 4999: far past the default recursion limit.  Uneven
+    # weights, so that a product taken in another order may differ.
+    weights = [0.999 - (i % 7) * 1e-4 for i in range(4999)]
+    tree = chain_tree(weights)
+    assert weighted_path_similarity(tree, "c0", "c4999") == left_to_right_product(weights)
+    assert weighted_path_similarity(tree, "c4999", "c0") == left_to_right_product(weights[::-1])
+    assert inverse_distance_similarity(tree, "c0", "c4999") == 1 / 4998
+    assert shared_path_ratio(tree, "c0", "c4999") == 1 / 5000
+
+    middle = weights[1000:4000]
+    assert weighted_path_similarity(tree, "c1000", "c4000") == left_to_right_product(middle)
+    assert inverse_distance_similarity(tree, "c4000", "c1000") == 1 / 2999
+    assert shared_path_ratio(tree, "c1000", "c4000") == 1001 / 4001
