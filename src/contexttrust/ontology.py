@@ -13,9 +13,8 @@ new one, so concurrent reads need no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, KeysView, Optional
 
 from .errors import (
     ContextTrustError,
@@ -45,9 +44,13 @@ class NodePath:
 @dataclass(frozen=True)
 class OntologyTree:
     root: str
-    nodes: frozenset[str]
+    depths: dict[str, int]  # each node's edge count below the root
     parents: dict[str, str]
     weights: dict[Edge, Optional[float]]
+
+    @property
+    def nodes(self) -> KeysView[str]:
+        return self.depths.keys()
 
     @classmethod
     def from_edges(
@@ -72,9 +75,8 @@ class OntologyTree:
             raise TreeValidationError("tree has no nodes")
         if any(not name.strip() for name in names):
             raise TreeValidationError("node label is empty")
-        nodes = frozenset(names)
         if lone_root is not None:
-            return cls(root=lone_root, nodes=nodes, parents={}, weights={})
+            return cls(root=lone_root, depths={lone_root: 0}, parents={}, weights={})
 
         parents: dict[str, str] = {}
         children: dict[str, list[str]] = {}
@@ -102,43 +104,32 @@ class OntologyTree:
             raise TreeValidationError(f"multiple roots: {', '.join(repr(r) for r in roots)}")
         root = roots[0]
 
-        reachable = set()
+        # One walk from the root both proves every node reachable and records its depth.
+        depths = {root: 0}
         frontier = [root]
         while frontier:
-            name = frontier.pop()
-            reachable.add(name)
-            frontier.extend(children.get(name, ()))
-        if len(reachable) != len(nodes):
-            missing = sorted(nodes - reachable)
+            parent = frontier.pop()
+            below = depths[parent] + 1
+            for child in children.get(parent, ()):
+                depths[child] = below
+                frontier.append(child)
+        if len(depths) != len(parents) + 1:
+            # Every node but the root has a parent, so the unreachable ones are all children.
+            missing = sorted(parents.keys() - depths.keys())
             raise TreeValidationError(
                 f"nodes unreachable from root {root!r}: {', '.join(repr(n) for n in missing)}"
             )
 
-        return cls(root=root, nodes=nodes, parents=parents, weights=weights)
+        return cls(root=root, depths=depths, parents=parents, weights=weights)
 
     def edge_list(self) -> list[tuple[str, str, Optional[float]]]:
         """Edges with weights, in document (insertion) order."""
         return [(p, c, w) for (p, c), w in self.weights.items()]
 
     def require(self, node_id: str) -> str:
-        if node_id not in self.nodes:
+        if node_id not in self.depths:
             raise UnknownNodeError(f"unknown node {node_id!r}")
         return node_id
-
-    @cached_property
-    def depths(self) -> dict[str, int]:
-        """Each node's edge count below the root, computed on first use."""
-        depths = {self.root: 0}
-        for node in self.nodes:
-            chain = []
-            while node not in depths:
-                chain.append(node)
-                node = self.parents[node]
-            depth = depths[node]
-            for name in reversed(chain):
-                depth += 1
-                depths[name] = depth
-        return depths
 
 
 def parse_tree(text: str, source: str = "<string>") -> OntologyTree:

@@ -121,8 +121,17 @@ def _phrase_pattern(term: str) -> re.Pattern[str]:
 
 
 def _pair_key(x: str, y: str) -> tuple[tuple[str, str], bool]:
-    """A pair's table key (normalized terms in sorted order), and whether x sorts second."""
+    """A pair's table key (normalized terms in sorted order), and whether x sorts second.
+
+    A term no table line can hold (blank, or with a tab or line break inside) is a
+    DomainError, so it reaches neither a provider nor a cache file.
+    """
     a, b = x.strip().lower(), y.strip().lower()
+    for term in (a, b):
+        if not term:
+            raise DomainError("term is empty")
+        if "\t" in term or len(term.splitlines()) > 1:
+            raise DomainError(f"term {term!r} has a tab or line break inside")
     return ((b, a), True) if b < a else ((a, b), False)
 
 
@@ -188,11 +197,11 @@ def _parse_counts_table(text: str, path: str | Path) -> dict[tuple[str, str], Hi
             raise ConfigError(f"{path}: line {number}: expected 6 tab-separated fields")
         try:
             counts = HitCounts(*(int(f) for f in fields[2:]))
+            key, flipped = _pair_key(fields[0], fields[1])
         except ValueError as exc:
             raise ConfigError(f"{path}: line {number}: counts must be integers") from exc
-        except InvalidCountsError as exc:
+        except (InvalidCountsError, DomainError) as exc:
             raise ConfigError(f"{path}: line {number}: {exc}") from exc
-        key, flipped = _pair_key(fields[0], fields[1])
         table[key] = counts.swapped() if flipped else counts
     return table
 
@@ -240,19 +249,15 @@ class CorpusProvider(CountProvider):
         self._docs_by_term: dict[str, int] = {}
 
     @cached_property
-    def _files(self) -> list[Path]:
+    def _index(self) -> tuple[list[str], dict[str, int], int]:
+        """Each document's text, each token's ASCII documents, and the non-ASCII documents."""
         if not self.directory.is_dir():
             raise CorpusError(f"corpus directory not found: {self.directory}")
         files = sorted(p for p in self.directory.iterdir() if p.is_file())
         if not files:
             raise CorpusError(f"corpus directory is empty: {self.directory}")
-        return files
-
-    @cached_property
-    def _index(self) -> tuple[list[str], dict[str, int], int]:
-        """Each document's text, each token's ASCII documents, and the non-ASCII documents."""
         texts = []
-        for path in self._files:
+        for path in files:
             try:
                 texts.append(path.read_text(encoding="utf-8"))
             except (OSError, UnicodeDecodeError) as exc:
@@ -294,7 +299,7 @@ class CorpusProvider(CountProvider):
         for term, pattern in patterns.items():
             self._docs_by_term[term] = self._docs_with(term, pattern)
         bx, by = self._docs_by_term[x], self._docs_by_term[y]
-        return HitCounts(bx.bit_count(), by.bit_count(), (bx & by).bit_count(), len(self._files))
+        return HitCounts(bx.bit_count(), by.bit_count(), (bx & by).bit_count(), len(self._index[0]))
 
 
 def _default_transport(url: str, timeout: float = 30.0) -> str:
@@ -319,15 +324,10 @@ def _extract_count(body: str, json_path: Optional[str], regex: Optional[str]) ->
         if match is None or match.group(1) is None:
             raise ProviderError(f"response does not match extraction pattern {regex!r}")
         value = match.group(1).replace(",", "")
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is int or isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    # A bool, a fraction, infinity, null or a container is not a count.
-    raise ProviderError(f"response count {value!r} is not an integer")
+    try:
+        return _integer(value)
+    except (TypeError, ValueError):
+        raise ProviderError(f"response count {value!r} is not an integer") from None
 
 
 def _check_remote_options(options: dict[str, object]) -> None:
@@ -450,8 +450,21 @@ def _text(value: object) -> str:
     return value
 
 
+def _integer(value: object) -> int:
+    """A JSON integer, an integral float (``1e10``) or an integer string, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is int or isinstance(value, str):
+        return int(value)
+    # A bool, a fraction, infinity, null or a container is not an integer.
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
 # Each remote key is a RemoteProvider keyword, except api_key_env (see make_provider).
-_REMOTE_KEYS = {"endpoint": _text, "m": int, "interval_ms": int, "retries": int, "api_key_env": _text}
+_REMOTE_KEYS = {
+    "endpoint": _text, "m": _integer, "interval_ms": _integer, "retries": _integer,
+    "api_key_env": _text,
+}
 _EXTRACT_KEYS = {"json_path": _text, "regex": _text}
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import stat
 
@@ -439,7 +440,31 @@ def test_counts_blank_term_exits_nonzero(capsys, tmp_path):
     assert stderr.startswith("contexttrust:") and "empty" in stderr
 
 
+@pytest.mark.parametrize("term", ["a\tb", "a\nb"])
+def test_counts_term_with_tab_or_line_break_leaves_the_cache_loadable(capsys, tmp_path, term):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "d0.txt").write_text("alpha beta", encoding="utf-8")
+    config = tmp_path / "provider.json"
+    config.write_text(json.dumps({"kind": "corpus", "directory": "docs"}), encoding="utf-8")
+    cache = tmp_path / "c.tsv"
+    code, _, stderr = run(capsys, "counts", "--provider", config, "--cache", cache, term, "c")
+    assert code == 1
+    assert stderr.startswith("contexttrust:") and "tab or line break" in stderr
+    code, stdout, stderr = run(capsys, "counts", "--provider", config, "--cache", cache,
+                               "alpha", "beta")
+    assert code == 0, stderr
+    assert stdout == "1\t1\t1\t1\n"
+
+
 # --- general ----------------------------------------------------------------------
+
+def test_readme_library_example_runs_on_the_fixture(capsys, monkeypatch):
+    readme = (DATA_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    monkeypatch.chdir(EVALFIX)
+    exec(compile(example, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) == pytest.approx(4.05)
+
 
 def test_missing_input_file_exits_nonzero(capsys, tmp_path):
     code, _, stderr = run(capsys, "sim", "--tree", tmp_path / "nope.tsv",

@@ -135,6 +135,13 @@ def test_duplicate_edge_is_rejected():
         parse_tree("A\tB\nA\tB\n")
 
 
+def test_nodes_unreachable_from_root_are_named():
+    # B and C are each other's parent: no root of their own, and no path from R.
+    with pytest.raises(TreeValidationError) as raised:
+        parse_tree("R\tA\nB\tC\nC\tB\n")
+    assert str(raised.value) == "<string>: nodes unreachable from root 'R': 'B', 'C'"
+
+
 def test_round_trip_preserves_tree(tmp_path, cs_tree):
     text = dump_tree(cs_tree)
     assert parse_tree(text) == cs_tree

@@ -2,8 +2,10 @@ import itertools
 import json
 import math
 import shutil
+import sys
 import tempfile
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from helpers import valid_hit_counts
 from contexttrust.errors import (
     ConfigError,
     CorpusError,
+    DomainError,
     InvalidCountsError,
     MissingPairError,
     ProviderError,
@@ -36,15 +39,12 @@ from contexttrust.semantic import (
 )
 
 
-def natural_log_ngd(c: HitCounts) -> float:
-    # Independent reformulation used as the base-invariance oracle.
-    if c.fxy == 0:
-        return math.inf
-    num = max(math.log(c.fx), math.log(c.fy)) - math.log(c.fxy)
-    den = math.log(c.m) - min(math.log(c.fx), math.log(c.fy))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
+def exact_ngd(c: HitCounts) -> Decimal:
+    """The distance in natural logs at 60 significant digits (fxy > 0, min(fx, fy) < m)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln_fx, ln_fy, ln_fxy, ln_m = (Decimal(n).ln() for n in (c.fx, c.fy, c.fxy, c.m))
+        return (max(ln_fx, ln_fy) - ln_fxy) / (ln_m - min(ln_fx, ln_fy))
 
 
 # --- hit count validation ----------------------------------------------------
@@ -136,13 +136,22 @@ def test_ngd_symmetry_is_exact(counts):
 
 
 @given(valid_hit_counts())
+@example(HitCounts(454, 454, 1, 455))  # ln m - ln min(fx, fy) cancels to about 0.0022
 def test_ngd_log_base_invariance(counts):
     ours = ngd(counts)
-    oracle = natural_log_ngd(counts)
-    if math.isinf(oracle):
-        assert math.isinf(ours)
+    if counts.fxy == 0:
+        assert ours == math.inf
+    elif counts.fx == counts.fy == counts.m:
+        # The denominator is exactly 0: the same documents are distance 0, else unbounded.
+        assert ours == (0.0 if counts.fxy == counts.m else math.inf)
     else:
-        assert ours == pytest.approx(oracle, abs=1e-9)
+        # Rounding in the logs scales with ln m and ln max(fx, fy); dividing by
+        # ln m - ln min(fx, fy) magnifies it where that difference cancels.
+        exact = exact_ngd(counts)
+        ln_fx, ln_fy, ln_m = (math.log(n) for n in (counts.fx, counts.fy, counts.m))
+        conditioning = (ln_m + max(ln_fx, ln_fy)) / (ln_m - min(ln_fx, ln_fy))
+        bound = 4 * sys.float_info.epsilon * conditioning * (1 + float(exact))
+        assert abs(Decimal(ours) - exact) <= Decimal(bound)
 
 
 @given(valid_hit_counts(), st.data())
@@ -380,6 +389,13 @@ def test_cache_put_after_torn_line_starts_a_fresh_line(tmp_path, tail):
     assert reloaded.get("e", "f") == HitCounts(1, 1, 1, 10)
 
 
+def test_counts_table_blank_term_is_an_error(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("a\t\t3\t2\t1\t10\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 1: term is empty"):
+        PairCache(path)
+
+
 def test_cache_malformed_line_before_the_last_is_an_error(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("a\tb\t3\t2\nc\td\t5\t5\t5\t300\n", encoding="utf-8")
@@ -404,6 +420,27 @@ def test_cached_provider_survives_source_removal(tiny_corpus, tmp_path):
     before = cached.counts("laptop", "computer")
     shutil.rmtree(corpus_copy)
     assert cached.counts("laptop", "computer") == before
+
+
+@pytest.mark.parametrize("term", ["a\tb", "a\nb", "a\r\nb", "a\u2028b", "  "])
+def test_cached_provider_refuses_a_term_no_cache_line_can_hold(tmp_path, term):
+    # A cache line is tab-separated and read with splitlines; such a term would
+    # write a line that every later load rejects.
+    path = tmp_path / "cache.tsv"
+    path.write_text("a\tb\t3\t2\t1\t10\n", encoding="utf-8")
+    queries = []
+
+    def transport(url):
+        queries.append(url)
+        return json.dumps({"n": 1})
+
+    engine = RemoteProvider("https://e.test/s?q={query}", m=10, json_path="n", transport=transport)
+    cached = CachedProvider(engine, PairCache(path))
+    for x, y in ((term, "c"), ("c", term)):
+        with pytest.raises(DomainError, match="tab or line break|empty"):
+            cached.counts(x, y)
+    assert queries == []
+    assert path.read_text(encoding="utf-8") == "a\tb\t3\t2\t1\t10\n"
 
 
 # --- remote provider -----------------------------------------------------------
@@ -652,6 +689,12 @@ def test_remote_config_env_credential(tmp_path, monkeypatch):
           "extract": {"json_path": "n"}}, "interval_ms must be >= 0"),
         ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10,
           "extract": {"json_path": "n", "regex": "(n)"}}, "exactly one of json_path or regex"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": True,
+          "extract": {"json_path": "n"}}, "'m'"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10, "retries": 2.7,
+          "extract": {"json_path": "n"}}, "'retries'"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10, "interval_ms": 1.9,
+          "extract": {"json_path": "n"}}, "'interval_ms'"),
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, payload, message):
@@ -660,3 +703,14 @@ def test_bad_configs_are_rejected(tmp_path, payload, message):
     with pytest.raises(ConfigError, match=message) as raised:
         load_provider_config(config_path)
     assert str(config_path) in str(raised.value)
+
+
+@pytest.mark.parametrize("value, expected", [(1e10, 10**10), ("10", 10)])
+def test_remote_config_integer_keys_accept_integral_floats_and_strings(tmp_path, value, expected):
+    config_path = tmp_path / "p.json"
+    config_path.write_text(json.dumps({
+        "kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": value,
+        "extract": {"json_path": "n"},
+    }), encoding="utf-8")
+    m = load_provider_config(config_path).options["m"]
+    assert m == expected and type(m) is int
