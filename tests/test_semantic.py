@@ -230,6 +230,63 @@ def test_corpus_document_set_is_fixed_at_first_lookup(tiny_corpus):
     assert provider.counts("laptop", "phone") == before == HitCounts(2, 1, 0, 3)
 
 
+LINE_DOCS = ["laptop\nbag", "laptop computer\nsale\n", "phone\ncase\nlaptop"]
+LINE_TERMS = ["laptop", "bag", "laptop bag", "computer sale", "case laptop", "sale"]
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_corpus_line_endings_count_as_their_lf_versions(tmp_path, ending):
+    # Documents are read as written; a two-word phrase may span the line break.
+    providers = []
+    for name, newline in (("lf", "\n"), ("other", ending)):
+        directory = tmp_path / name
+        directory.mkdir()
+        for i, text in enumerate(LINE_DOCS):
+            (directory / f"d{i}.txt").write_bytes(text.replace("\n", newline).encode())
+        providers.append(CorpusProvider(directory))
+    lf, other = providers
+    for x, y in itertools.product(LINE_TERMS, repeat=2):
+        assert other.counts(x, y) == lf.counts(x, y), (x, y)
+    assert lf.counts("laptop bag", "case laptop") == HitCounts(1, 1, 0, 3)
+
+
+def test_corpus_skips_subdirectories_and_follows_symlinks_to_files(tmp_path):
+    directory = tmp_path / "docs"
+    (directory / "sub").mkdir(parents=True)
+    (directory / "sub" / "d9.txt").write_text("laptop phone", encoding="utf-8")
+    (directory / "a.txt").write_text("laptop bag", encoding="utf-8")
+    (tmp_path / "outside.txt").write_text("phone laptop", encoding="utf-8")
+    (directory / "b.txt").symlink_to(tmp_path / "outside.txt")
+    (directory / "c.txt").symlink_to(tmp_path / "gone.txt")
+    (directory / "d.txt").symlink_to(directory / "e.txt")
+    (directory / "e.txt").symlink_to(directory / "d.txt")
+    assert CorpusProvider(directory).counts("laptop", "phone") == HitCounts(2, 1, 1, 2)
+
+
+def test_corpus_builds_phrase_patterns_only_where_the_index_cannot_decide(tiny_corpus, monkeypatch):
+    built = []
+
+    def counting_pattern(term):
+        built.append(term)
+        return _phrase_pattern(term)
+
+    monkeypatch.setattr("contexttrust.semantic._phrase_pattern", counting_pattern)
+    provider = CorpusProvider(tiny_corpus)
+    assert provider.counts("laptop", "Phone") == HitCounts(2, 1, 0, 3)
+    assert built == []
+    assert provider.counts("laptop computer", "phone") == HitCounts(1, 1, 0, 3)
+    assert built == ["laptop computer"]
+    (tiny_corpus / "d3.txt").write_text("caf\u00e9 laptop", encoding="utf-8")
+    assert CorpusProvider(tiny_corpus).counts("laptop", "phone") == HitCounts(3, 1, 0, 4)
+    assert built == ["laptop computer", "laptop", "phone"]
+
+
+@pytest.mark.parametrize("pair", [("", "x"), ("x", " \t")])
+def test_corpus_blank_term_is_refused_before_the_corpus_is_read(tmp_path, pair):
+    with pytest.raises(DomainError, match="term is empty"):
+        CorpusProvider(tmp_path / "missing").counts(*pair)
+
+
 # Words whose case folding differs between re.IGNORECASE and str.lower(): the long s
 # and the Kelvin sign fold to ASCII letters, and the dotted capital I lowers to two
 # characters.  Punctuated and multi-word entries exercise the phrase pattern.
@@ -396,6 +453,23 @@ def test_counts_table_blank_term_is_an_error(tmp_path):
         PairCache(path)
 
 
+def test_cache_refuses_a_term_read_back_as_a_comment(tmp_path):
+    # "#tag" sorts first, so its line would start with "#" and be skipped on reload.
+    path = tmp_path / "cache.tsv"
+    cache = PairCache(path)
+    for x, y in (("#tag", "b"), ("b", " #Tag")):
+        with pytest.raises(DomainError, match="comment"):
+            cache.put(x, y, HitCounts(1, 1, 1, 10))
+    assert not path.exists()
+
+
+def test_counts_table_hash_term_is_an_error(tmp_path):
+    path = tmp_path / "counts.tsv"
+    path.write_text("a\t#b\t3\t2\t1\t10\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 1: term '#b' starts with '#'"):
+        read_counts_table(path)
+
+
 def test_cache_malformed_line_before_the_last_is_an_error(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("a\tb\t3\t2\nc\td\t5\t5\t5\t300\n", encoding="utf-8")
@@ -422,10 +496,10 @@ def test_cached_provider_survives_source_removal(tiny_corpus, tmp_path):
     assert cached.counts("laptop", "computer") == before
 
 
-@pytest.mark.parametrize("term", ["a\tb", "a\nb", "a\r\nb", "a\u2028b", "  "])
+@pytest.mark.parametrize("term", ["a\tb", "a\nb", "a\r\nb", "a\u2028b", "  ", "#tag"])
 def test_cached_provider_refuses_a_term_no_cache_line_can_hold(tmp_path, term):
-    # A cache line is tab-separated and read with splitlines; such a term would
-    # write a line that every later load rejects.
+    # A cache line is tab-separated and read with splitlines, and a "#" line is a
+    # comment; such a term would write a line that every later load rejects or skips.
     path = tmp_path / "cache.tsv"
     path.write_text("a\tb\t3\t2\t1\t10\n", encoding="utf-8")
     queries = []
@@ -437,7 +511,7 @@ def test_cached_provider_refuses_a_term_no_cache_line_can_hold(tmp_path, term):
     engine = RemoteProvider("https://e.test/s?q={query}", m=10, json_path="n", transport=transport)
     cached = CachedProvider(engine, PairCache(path))
     for x, y in ((term, "c"), ("c", term)):
-        with pytest.raises(DomainError, match="tab or line break|empty"):
+        with pytest.raises(DomainError, match="tab or line break|empty|comment"):
             cached.counts(x, y)
     assert queries == []
     assert path.read_text(encoding="utf-8") == "a\tb\t3\t2\t1\t10\n"
