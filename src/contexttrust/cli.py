@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -158,7 +159,13 @@ def _cmd_counts(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Sharing it is safe: argparse keeps parse state in the returned Namespace, not in
+    the parser, so one call's flags never reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="contexttrust",
         description="Weighted ontology trees, context similarity, and trust prediction.",
@@ -222,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ContextTrustError, OSError) as exc:

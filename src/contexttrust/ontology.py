@@ -75,6 +75,23 @@ class OntologyTree:
             raise TreeValidationError("tree has no nodes")
         if any(not name.strip() for name in names):
             raise TreeValidationError("node label is empty")
+        # Refuse what dump_tree cannot write back as the same tree: parse_tree splits
+        # fields at tabs and lines at line breaks, strips each field, and skips a line
+        # whose first field starts with '#'.
+        for name in names:
+            if "\t" in name:
+                raise TreeValidationError(f"node label {name!r} has a tab inside")
+            if name.splitlines() != [name]:
+                raise TreeValidationError(f"node label {name!r} has a line break inside")
+            if name != name.strip():
+                raise TreeValidationError(f"node label {name!r} has whitespace around it")
+        # dump_tree starts each line with a lone root or with a parent.
+        heads = (lone_root,) if lone_root is not None else (parent for parent, _, _ in edge_list)
+        for name in heads:
+            if name.startswith("#"):
+                raise TreeValidationError(
+                    f"node label {name!r} starts a line with '#', which marks a comment"
+                )
         if lone_root is not None:
             return cls(root=lone_root, depths={lone_root: 0}, parents={}, weights={})
 

@@ -109,6 +109,15 @@ def nss(counts: HitCounts, epsilon: float = DEFAULT_EPSILON) -> float:
 
 _TOKEN = re.compile(r"\w+")
 
+# str.translate table for ASCII text: A-Z to lowercase, [0-9a-z_] kept, every other ASCII
+# code point to a space.  Among ASCII characters \w is exactly [0-9A-Za-z_], so on ASCII
+# text ``text.translate(_ASCII_WORDS).split()`` yields the tokens of
+# ``_TOKEN.findall(text.lower())``, tokenised in C without the regex engine.
+_ASCII_WORDS = {
+    code: chr(code).lower() if chr(code).isalnum() or chr(code) == "_" else " "
+    for code in range(128)
+}
+
 
 def _phrase_pattern(term: str) -> re.Pattern[str]:
     # Whole-word match; a multi-word term matches as a contiguous phrase.
@@ -270,8 +279,10 @@ class CorpusProvider(CountProvider):
                 # A str path: pathlib interns each name, which grew the interned-string
                 # table and peak memory by about 1 MB.  Line endings are kept: \r and \n
                 # are both non-word characters to _TOKEN and to the phrase pattern.
-                with open(os.path.join(self.directory, name), "rb") as handle:
-                    texts.append(handle.read().decode("utf-8"))
+                # Unbuffered: readall takes the file whole, so a BufferedReader per
+                # document would only add its 8 KiB buffer.
+                with open(os.path.join(self.directory, name), "rb", buffering=0) as handle:
+                    texts.append(handle.readall().decode("utf-8"))
             except (OSError, UnicodeDecodeError) as exc:
                 raise CorpusError(
                     f"cannot read corpus document {self.directory / name}: {exc}"
@@ -283,7 +294,7 @@ class CorpusProvider(CountProvider):
             if not text.isascii():
                 non_ascii |= bit
                 continue
-            for token in set(_TOKEN.findall(text.lower())):
+            for token in set(text.translate(_ASCII_WORDS).split()):
                 tokens[token] = tokens.get(token, 0) | bit
         return texts, tokens, non_ascii
 

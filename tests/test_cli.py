@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from helpers import DATA_DIR, chain_tree
-from contexttrust import semantic
+from contexttrust import cli, dataset, semantic
 from contexttrust.cli import main
 from contexttrust.ontology import dump_tree, load_tree
 
 EVALFIX = DATA_DIR / "evalfix"
 MAKE_PROVIDER = semantic.make_provider
+LOAD_REVIEWS = dataset.load_reviews
 
 
 def run(capsys, *argv):
@@ -403,6 +404,56 @@ def test_eval_bad_pairs_header(capsys, tmp_path):
     code, _, stderr = run(capsys, *argv)
     assert code == 1
     assert "pairs header" in stderr
+
+
+# --- one parser per process ------------------------------------------------------
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "sim", "--measure", "keyword", "a,b", "b,c")[0] == 0
+    assert run(capsys, "sim", "--measure", "task", "0.5,0.5", "0.7,0.1")[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_eval_runs_in_one_process_keep_their_own_flags(capsys, tmp_path, monkeypatch):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    loaded = []
+
+    def recording_load_reviews(path, seller=""):
+        loaded.append(seller)
+        return LOAD_REVIEWS(path, seller=seller)
+
+    monkeypatch.setattr("contexttrust.dataset.load_reviews", recording_load_reviews)
+    runs = [
+        (("weighted", "eq1", "shared"), "report_shared.csv", "summary_shared.txt"),
+        (("weighted", "eq1"), "report.csv", "summary.txt"),
+    ]
+    for measures, report, summary in runs:
+        loaded.clear()
+        report_path = tmp_path / report
+        code, stdout, stderr = run(capsys, *eval_args(tree, report_path, measures))
+        assert code == 0, stderr
+        assert report_path.read_bytes() == (EVALFIX / report).read_bytes()
+        assert stdout == (EVALFIX / summary).read_text(encoding="utf-8")
+        assert loaded == ["techmart", "pageturner", "allgoods"]
+
+
+def test_a_usage_error_leaves_the_next_call_alone(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    report_path = tmp_path / "report.csv"
+    bad = eval_args(tree, tmp_path / "bad.csv", ("weighted", "eq1", "shared", "nonsense"))
+    with pytest.raises(SystemExit) as raised:
+        main([str(a) for a in ["--no-such-flag", *bad]])
+    assert raised.value.code == 2
+    with pytest.raises(SystemExit) as raised:
+        main([str(a) for a in bad])
+    assert raised.value.code == 2
+    code, stdout, stderr = run(capsys, *eval_args(tree, report_path))
+    assert code == 0, stderr
+    assert report_path.read_bytes() == (EVALFIX / "report.csv").read_bytes()
+    assert stdout == (EVALFIX / "summary.txt").read_text(encoding="utf-8")
+    assert not (tmp_path / "bad.csv").exists()
 
 
 # --- counts ----------------------------------------------------------------------

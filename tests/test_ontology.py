@@ -150,6 +150,46 @@ def test_round_trip_preserves_tree(tmp_path, cs_tree):
     assert load_tree(path) == cs_tree
 
 
+@pytest.mark.parametrize("edges, label", [
+    ([("A", "#x", 0.5), ("#x", "B", 0.5)], "#x"),  # read back without B
+    ([("#r", "A", 0.5)], "#r"),  # read back as a tree with no nodes
+])
+def test_from_edges_refuses_a_parent_label_read_back_as_a_comment(edges, label):
+    with pytest.raises(TreeValidationError, match=f"'{label}' starts a line with '#'"):
+        OntologyTree.from_edges(edges)
+
+
+def test_from_edges_refuses_a_lone_root_read_back_as_a_comment():
+    with pytest.raises(TreeValidationError, match="'#r' starts a line with '#'"):
+        OntologyTree.from_edges([], lone_root="#r")
+
+
+def test_from_edges_keeps_a_child_label_starting_with_hash():
+    tree = OntologyTree.from_edges([("A", "#x", 0.5)])
+    assert parse_tree(dump_tree(tree)) == tree
+
+
+def test_from_edges_refuses_a_label_with_a_tab_inside():
+    # Written back as the line X<TAB>A<TAB>0.5: the edge X -> A with weight 0.5.
+    with pytest.raises(TreeValidationError, match=r"'A\\t0.5' has a tab inside"):
+        OntologyTree.from_edges([("X", "A\t0.5", None)])
+
+
+@pytest.mark.parametrize("label", ["A\nB", "A\r", "A\x0bB", "A\x1cB", "A\u2028B"])
+def test_from_edges_refuses_a_label_with_a_line_break_inside(label):
+    with pytest.raises(TreeValidationError, match="has a line break inside") as raised:
+        OntologyTree.from_edges([("X", label, None)])
+    assert repr(label) in str(raised.value)
+
+
+@pytest.mark.parametrize("label", [" B ", "B ", "\u3000B"])
+def test_from_edges_refuses_a_label_with_whitespace_around_it(label):
+    # parse_tree strips each field, so " B " would read back as B.
+    with pytest.raises(TreeValidationError, match="has whitespace around it") as raised:
+        OntologyTree.from_edges([("X", label, None)])
+    assert repr(label) in str(raised.value)
+
+
 def test_round_trip_preserves_weights():
     tree = parse_tree("A\tB\t0.123456789012\nA\tC\t0.5\n")
     assert parse_tree(dump_tree(tree)) == tree

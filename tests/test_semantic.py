@@ -30,6 +30,8 @@ from contexttrust.semantic import (
     PairCache,
     RemoteProvider,
     StaticTableProvider,
+    _ASCII_WORDS,
+    _TOKEN,
     _phrase_pattern,
     load_provider_config,
     make_provider,
@@ -295,14 +297,26 @@ FOLDING_WORDS = ["s", "S", "ſ", "star", "ſtar", "tar", "k", "K", "\u212a", "i"
 
 
 def corpus_documents():
-    pieces = st.sampled_from(FOLDING_WORDS + [" ", " ", ".", "-", "\n", ", "])
+    others = [" ", " ", ".", "-", "\n", ", ", "_", "7", "\t", "'", "\x0b", "\x1f", "\x7f"]
+    pieces = st.sampled_from(FOLDING_WORDS + others)
     return st.lists(st.lists(pieces, max_size=8).map("".join), min_size=1, max_size=6)
+
+
+def test_ascii_word_table_tokenises_as_the_regex():
+    for char in map(chr, range(128)):
+        # The table's own rule: a \w character lowercased, any other one a space.
+        word_char = char.lower() if _TOKEN.fullmatch(char) else " "
+        assert char.translate(_ASCII_WORDS) == word_char, repr(char)
+        text = f"Ab{char}cD"
+        expected = set(_TOKEN.findall(text.lower()))
+        assert set(text.translate(_ASCII_WORDS).split()) == expected, repr(char)
 
 
 @settings(deadline=None)
 @example(documents=["a star", "a ſtar", "STAR"], terms=["star", "ſtar"])
 @example(documents=["a \u212a", "k", "ı i", "İ"], terms=["k", "K", "\u212a", "i", "İ"])
 @example(documents=["c", "c++ x", "++", "x-y", "x, y", "é c++ x y"], terms=["c++", "++", "c", "x y"])
+@example(documents=["a_b", "a7", "x\x7fy", "x'y\x0b1", "1\x1fs\ts"], terms=["a_b", "a", "x", "1", "s"])
 @given(
     documents=corpus_documents(),
     terms=st.lists(
