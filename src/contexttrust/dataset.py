@@ -86,7 +86,7 @@ def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list
             ) from None
         if not RATE_MIN <= rate <= RATE_MAX:
             raise RowError(f"{prefix}: row {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
-        reviews.append(Review(context, rate, date, description, link))
+        reviews.append(Review(context.strip(), rate, date, description, link))
     return reviews
 
 

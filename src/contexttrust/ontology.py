@@ -41,6 +41,24 @@ class NodePath:
     edges: tuple[Edge, ...]
 
 
+def _check_label(name: str, head: bool) -> None:
+    # Refuse what dump_tree cannot write back as the same tree: parse_tree splits fields
+    # at tabs and lines at line breaks, strips each field, and skips a line whose first
+    # field starts with '#'.  A head (a parent or a lone root) starts a dump_tree line.
+    if not name.strip():
+        raise TreeValidationError("node label is empty")
+    if "\t" in name:
+        raise TreeValidationError(f"node label {name!r} has a tab inside")
+    if name.splitlines() != [name]:
+        raise TreeValidationError(f"node label {name!r} has a line break inside")
+    if name != name.strip():
+        raise TreeValidationError(f"node label {name!r} has whitespace around it")
+    if head and name.startswith("#"):
+        raise TreeValidationError(
+            f"node label {name!r} starts a line with '#', which marks a comment"
+        )
+
+
 @dataclass(frozen=True)
 class OntologyTree:
     root: str
@@ -63,42 +81,22 @@ class OntologyTree:
         ``lone_root`` declares a single-node tree and excludes any edges.
         """
         edge_list = list(edges)
-        if lone_root is not None and edge_list:
-            raise TreeValidationError(
-                f"isolated root {lone_root!r} declared alongside edges"
-            )
-        # Document order, so that error messages list nodes stably.
-        names = [lone_root] if lone_root is not None else [
-            name for parent, child, _ in edge_list for name in (parent, child)
-        ]
-        if not names:
-            raise TreeValidationError("tree has no nodes")
-        if any(not name.strip() for name in names):
-            raise TreeValidationError("node label is empty")
-        # Refuse what dump_tree cannot write back as the same tree: parse_tree splits
-        # fields at tabs and lines at line breaks, strips each field, and skips a line
-        # whose first field starts with '#'.
-        for name in names:
-            if "\t" in name:
-                raise TreeValidationError(f"node label {name!r} has a tab inside")
-            if name.splitlines() != [name]:
-                raise TreeValidationError(f"node label {name!r} has a line break inside")
-            if name != name.strip():
-                raise TreeValidationError(f"node label {name!r} has whitespace around it")
-        # dump_tree starts each line with a lone root or with a parent.
-        heads = (lone_root,) if lone_root is not None else (parent for parent, _, _ in edge_list)
-        for name in heads:
-            if name.startswith("#"):
-                raise TreeValidationError(
-                    f"node label {name!r} starts a line with '#', which marks a comment"
-                )
         if lone_root is not None:
+            if edge_list:
+                raise TreeValidationError(
+                    f"isolated root {lone_root!r} declared alongside edges"
+                )
+            _check_label(lone_root, head=True)
             return cls(root=lone_root, depths={lone_root: 0}, parents={}, weights={})
+        if not edge_list:
+            raise TreeValidationError("tree has no nodes")
 
         parents: dict[str, str] = {}
         children: dict[str, list[str]] = {}
         weights: dict[Edge, Optional[float]] = {}
         for parent, child, weight in edge_list:
+            _check_label(parent, head=True)
+            _check_label(child, head=False)
             if parent == child:
                 raise TreeValidationError(f"self-loop on node {parent!r}")
             if child in parents:
@@ -114,7 +112,8 @@ class OntologyTree:
             children.setdefault(parent, []).append(child)
             weights[(parent, child)] = weight
 
-        roots = [name for name in dict.fromkeys(names) if name not in parents]
+        # A root is never a child, so the parent column lists every root in document order.
+        roots = [name for name in children if name not in parents]
         if not roots:
             raise TreeValidationError("no root: every node has a parent (cycle)")
         if len(roots) > 1:

@@ -159,11 +159,11 @@ class PairCache:
     it from the file before appending.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self._entries: dict[tuple[str, str], HitCounts] = {}
         self._torn_at: Optional[int] = None
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             data = self.path.read_bytes()
             end = data.rfind(b"\n") + 1
             if end < len(data):
@@ -181,12 +181,11 @@ class PairCache:
         (term_a, term_b), flipped = _pair_key(x, y)
         stored = counts.swapped() if flipped else counts
         self._entries[(term_a, term_b)] = stored
-        if self.path is not None:
-            if self._torn_at is not None:
-                os.truncate(self.path, self._torn_at)
-                self._torn_at = None
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(f"{term_a}\t{term_b}\t{stored.fx}\t{stored.fy}\t{stored.fxy}\t{stored.m}\n")
+        if self._torn_at is not None:
+            os.truncate(self.path, self._torn_at)
+            self._torn_at = None
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(f"{term_a}\t{term_b}\t{stored.fx}\t{stored.fy}\t{stored.fxy}\t{stored.m}\n")
 
 
 def read_counts_table(path: str | Path) -> dict[tuple[str, str], HitCounts]:
@@ -276,11 +275,7 @@ class CorpusProvider(CountProvider):
         texts = []
         for name in names:
             try:
-                # A str path: pathlib interns each name, which grew the interned-string
-                # table and peak memory by about 1 MB.  Line endings are kept: \r and \n
-                # are both non-word characters to _TOKEN and to the phrase pattern.
-                # Unbuffered: readall takes the file whole, so a BufferedReader per
-                # document would only add its 8 KiB buffer.
+                # A str path, unbuffered, line endings kept (\r and \n are non-word).
                 with open(os.path.join(self.directory, name), "rb", buffering=0) as handle:
                     texts.append(handle.readall().decode("utf-8"))
             except (OSError, UnicodeDecodeError) as exc:
@@ -530,7 +525,7 @@ def load_provider_config(path: str | Path) -> ProviderConfig:
 
     if kind != "remote":
         key = "table" if kind == "static" else "directory"
-        if raw.get(key) is None:
+        if raw.get(key) is None or not str(raw[key]).strip():
             raise ConfigError(f"{path}: {kind} provider requires a {key!r} path")
         return ProviderConfig(kind, {key: path.parent / read(raw, key, _text)})
     extract = raw.get("extract") or {}

@@ -127,7 +127,7 @@ def _scan_oracle(directory, term):
     return hits
 
 
-def test_criterion_04_corpus_provider_matches_brute_force():
+def test_criterion_04_corpus_provider_matches_brute_force(tmp_path):
     with criterion(4, "corpus provider equals brute-force scan on 100 pairs", budget_seconds=10.0):
         corpus = DATA_DIR / "corpus"
         docs = sorted(corpus.iterdir())
@@ -140,7 +140,7 @@ def test_criterion_04_corpus_provider_matches_brute_force():
             "backpack", "router cable", "laptop computer", "new keyboard",
             "missingword",
         ]
-        provider = CachedProvider(CorpusProvider(corpus), PairCache())
+        provider = CachedProvider(CorpusProvider(corpus), PairCache(tmp_path / "cache.tsv"))
         rng = random.Random(92)
         for _ in range(100):
             x, y = rng.choice(vocabulary), rng.choice(vocabulary)

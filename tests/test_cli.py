@@ -12,6 +12,7 @@ import pytest
 from helpers import DATA_DIR, chain_tree
 from contexttrust import cli, dataset, semantic
 from contexttrust.cli import main
+from contexttrust.errors import SchemaError
 from contexttrust.ontology import dump_tree, load_tree
 
 EVALFIX = DATA_DIR / "evalfix"
@@ -228,6 +229,13 @@ def test_sim_task_vectors(capsys):
     assert stdout.strip() == "0.700000"
 
 
+def test_sim_task_vector_must_be_numeric(capsys):
+    code, stdout, stderr = run(capsys, "sim", "--measure", "task", "0.5,high", "0.7,0.1")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("contexttrust:") and "'0.5,high'" in stderr
+
+
 def test_sim_tree_measure_requires_tree(capsys):
     code, _, stderr = run(capsys, "sim", "--measure", "weighted", "a", "b")
     assert code == 1
@@ -404,6 +412,26 @@ def test_eval_bad_pairs_header(capsys, tmp_path):
     code, _, stderr = run(capsys, *argv)
     assert code == 1
     assert "pairs header" in stderr
+
+
+def test_read_pairs_refuses_an_empty_file(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("", encoding="utf-8")
+    with pytest.raises(SchemaError, match="pairs file is empty"):
+        cli._read_pairs(pairs)
+
+
+def test_read_pairs_skips_blank_rows_and_strips_fields(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("seller,known,unknown\n\n s , Laptop ,Books\n\n", encoding="utf-8")
+    assert cli._read_pairs(pairs) == [("s", "Laptop", "Books")]
+
+
+def test_read_pairs_refuses_a_row_with_two_columns(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("seller,known,unknown\ns,Laptop,Books\ns,Laptop\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="row 3: expected 3 columns"):
+        cli._read_pairs(pairs)
 
 
 # --- one parser per process ------------------------------------------------------

@@ -62,6 +62,24 @@ def test_parse_rejects_empty_context():
         parse_reviews(HEADER + ",4,x,y,z\n")
 
 
+def test_parse_rejects_empty_text():
+    with pytest.raises(SchemaError, match="file is empty"):
+        parse_reviews("")
+
+
+def test_parse_skips_a_blank_row():
+    reviews = parse_reviews(HEADER + "Laptop,4,x,y,z\n\nBooks,2,x,y,z\n")
+    assert [(r.context, r.rate) for r in reviews] == [("Laptop", 4), ("Books", 2)]
+
+
+def test_parse_strips_the_context():
+    # A pair names the context stripped, so "Laptop " must not be a context of its own.
+    reviews = parse_reviews(HEADER + "Laptop ,5,x,y,z\n Laptop,3,x,y,z\n")
+    assert [r.context for r in reviews] == ["Laptop", "Laptop"]
+    profile = build_profiles({"s": reviews})["s"]
+    assert profile.contexts == {"Laptop": ContextRatings(count=2, aggregate=4.0)}
+
+
 def test_parse_keeps_quoted_commas():
     text = HEADER + 'Laptop,4,1-Jan-10,"fast, quiet, cheap",https://x.test/9\n'
     (review,) = parse_reviews(text)

@@ -68,6 +68,17 @@ def test_single_token_line_declares_one_node_tree():
     assert tree.weights == {}
 
 
+def test_two_single_token_lines_are_rejected():
+    with pytest.raises(TreeValidationError, match="multiple isolated roots"):
+        parse_tree("A\nB\n")
+
+
+def test_one_node_tree_round_trips():
+    tree = parse_tree("R\n")
+    assert dump_tree(tree) == "R\n"
+    assert parse_tree(dump_tree(tree)) == tree
+
+
 def test_comments_and_blank_lines_are_skipped():
     tree = parse_tree("# heading\n\nA\tB\n  # indented comment\nA\tC\n")
     assert sorted(tree.nodes) == ["A", "B", "C"]
@@ -167,6 +178,16 @@ def test_from_edges_refuses_a_lone_root_read_back_as_a_comment():
 def test_from_edges_keeps_a_child_label_starting_with_hash():
     tree = OntologyTree.from_edges([("A", "#x", 0.5)])
     assert parse_tree(dump_tree(tree)) == tree
+
+
+@pytest.mark.parametrize("edges, lone_root", [
+    ([("A", "", None)], None),
+    ([(" ", "B", None)], None),
+    ([], "\t"),
+])
+def test_from_edges_refuses_a_blank_label(edges, lone_root):
+    with pytest.raises(TreeValidationError, match="node label is empty"):
+        OntologyTree.from_edges(edges, lone_root=lone_root)
 
 
 def test_from_edges_refuses_a_label_with_a_tab_inside():

@@ -28,6 +28,7 @@ from contexttrust.semantic import (
     CountProvider,
     HitCounts,
     PairCache,
+    ProviderConfig,
     RemoteProvider,
     StaticTableProvider,
     _ASCII_WORDS,
@@ -216,6 +217,11 @@ def test_corpus_counts_multiword_phrase(tiny_corpus):
 def test_corpus_counts_empty_directory(tmp_path):
     with pytest.raises(CorpusError, match="empty"):
         CorpusProvider(tmp_path).counts("a", "b")
+
+
+def test_corpus_counts_missing_directory(tmp_path):
+    with pytest.raises(CorpusError, match="not found"):
+        CorpusProvider(tmp_path / "absent").counts("a", "b")
 
 
 def test_corpus_counts_unreadable_document(tmp_path):
@@ -791,6 +797,34 @@ def test_bad_configs_are_rejected(tmp_path, payload, message):
     with pytest.raises(ConfigError, match=message) as raised:
         load_provider_config(config_path)
     assert str(config_path) in str(raised.value)
+
+
+@pytest.mark.parametrize("kind, key", [("static", "table"), ("corpus", "directory")])
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_blank_config_path_is_refused(tmp_path, kind, key, blank):
+    # Resolved against the config file, a blank path would name the config's own folder.
+    config_path = tmp_path / "p.json"
+    config_path.write_text(json.dumps({"kind": kind, key: blank}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"requires a '{key}' path") as raised:
+        load_provider_config(config_path)
+    assert str(config_path) in str(raised.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "cannot read provider config"),
+    ('["corpus"]', "must be a JSON object"),
+])
+def test_config_that_is_not_a_json_object_is_refused(tmp_path, text, message):
+    config_path = tmp_path / "p.json"
+    config_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=message) as raised:
+        load_provider_config(config_path)
+    assert str(config_path) in str(raised.value)
+
+
+def test_make_provider_refuses_an_unknown_kind():
+    with pytest.raises(ConfigError, match="unknown provider kind 'x'"):
+        make_provider(ProviderConfig("x", {}))
 
 
 @pytest.mark.parametrize("value, expected", [(1e10, 10**10), ("10", 10)])
