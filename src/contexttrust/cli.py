@@ -48,7 +48,9 @@ def _write_atomic(path: str | Path, text: str) -> None:
 def _build_provider(args: argparse.Namespace) -> semantic.CountProvider:
     config = semantic.load_provider_config(args.provider)
     provider = semantic.make_provider(config)
-    if args.cache:
+    if args.cache is not None:
+        if not args.cache.strip():
+            raise DomainError("--cache needs a file path")
         provider = semantic.CachedProvider(provider, semantic.PairCache(args.cache))
     return provider
 

@@ -284,13 +284,8 @@ def weigh_tree(
             raise type(exc)(f"edge ({parent!r} -> {child!r}): {exc}") from exc
         except Exception as exc:
             raise ProviderError(f"edge ({parent!r} -> {child!r}): {exc}") from exc
-        if counts.fxy == 0:
-            # Covers unseen terms too: a zero single-term count forces fxy to 0.
-            weights[(parent, child)] = epsilon
-            annotations.append(EdgeAnnotation(parent, child, "zero co-occurrence"))
-            continue
-        weight = nss(counts, epsilon)
-        weights[(parent, child)] = weight
+        weights[(parent, child)] = weight = nss(counts, epsilon)
         if weight == epsilon:
-            annotations.append(EdgeAnnotation(parent, child, "similarity clamped to floor"))
+            reason = "zero co-occurrence" if counts.fxy == 0 else "similarity clamped to floor"
+            annotations.append(EdgeAnnotation(parent, child, reason))
     return replace(tree, weights=weights), annotations

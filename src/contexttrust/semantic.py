@@ -101,10 +101,9 @@ def nss(counts: HitCounts, epsilon: float = DEFAULT_EPSILON) -> float:
     """Similarity score: one minus the co-occurrence distance, clamped to [epsilon, 1]."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    distance = ngd(counts)
-    if math.isinf(distance):
-        return epsilon
-    return min(1.0, max(epsilon, 1.0 - distance))
+    if counts.fxy == 0:
+        return epsilon  # an unseen term too, since fxy <= min(fx, fy)
+    return min(1.0, max(epsilon, 1.0 - ngd(counts)))
 
 
 _TOKEN = re.compile(r"\w+")
@@ -125,6 +124,14 @@ def _phrase_pattern(term: str) -> re.Pattern[str]:
     return re.compile(rf"(?<!\w){inner}(?!\w)", re.IGNORECASE | re.UNICODE)
 
 
+def _term(text: str) -> str:
+    """A term as every provider and table compares it: stripped and lowercased, never blank."""
+    term = text.strip().lower()
+    if not term:
+        raise DomainError("term is empty")
+    return term
+
+
 def _pair_key(x: str, y: str) -> tuple[tuple[str, str], bool]:
     """A pair's table key (normalized terms in sorted order), and whether x sorts second.
 
@@ -132,10 +139,8 @@ def _pair_key(x: str, y: str) -> tuple[tuple[str, str], bool]:
     with the ``#`` that marks a comment line) is a DomainError, so it reaches neither a
     provider nor a cache file.
     """
-    a, b = x.strip().lower(), y.strip().lower()
+    a, b = _term(x), _term(y)
     for term in (a, b):
-        if not term:
-            raise DomainError("term is empty")
         if "\t" in term or len(term.splitlines()) > 1:
             raise DomainError(f"term {term!r} has a tab or line break inside")
         if term.startswith("#"):
@@ -316,9 +321,8 @@ class CorpusProvider(CountProvider):
         return found
 
     def counts(self, x: str, y: str) -> HitCounts:
-        # A blank term is a DomainError before the corpus is read.
-        if not x.split() or not y.split():
-            raise DomainError("term is empty")
+        _term(x)
+        _term(y)  # a blank term is a DomainError before the corpus is read
         for term in (x, y):
             if term not in self._docs_by_term:
                 self._docs_by_term[term] = self._docs_with(term)
@@ -326,14 +330,18 @@ class CorpusProvider(CountProvider):
         return HitCounts(bx.bit_count(), by.bit_count(), (bx & by).bit_count(), len(self._index[0]))
 
 
-def _default_transport(url: str, timeout: float = 30.0) -> str:
+def _default_transport(url: str) -> str:
     # Imported here: urllib.request (with http.client, ssl and email) is most of the
     # package's import time, and only a remote query without a transport needs it.
     import urllib.request
 
     request = urllib.request.Request(url, headers={"User-Agent": "contexttrust/0.1"})
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return response.read().decode("utf-8", errors="replace")
+    try:
+        with urllib.request.urlopen(request, timeout=30.0) as response:
+            return response.read().decode("utf-8", errors="replace")
+    except urllib.error.HTTPError as exc:
+        exc.close()  # an error status still holds the open connection
+        raise
 
 
 def _extract_count(body: str, json_path: Optional[str], regex: Optional[str]) -> int:
@@ -444,12 +452,10 @@ class RemoteProvider(CountProvider):
         raise ProviderError(f"query {query!r} failed after {self.retries} attempts: {last_error}")
 
     def counts(self, x: str, y: str) -> HitCounts:
+        same = _term(x) == _term(y)  # a blank term is a DomainError before any query
         qx, qy = f'"{x}"', f'"{y}"'
         fx = self._query_count(qx)
-        if x.strip().lower() == y.strip().lower():
-            return HitCounts(fx, fx, fx, self.m)
-        fy = self._query_count(qy)
-        fxy = self._query_count(f"{qx} {qy}")
+        fy, fxy = (fx, fx) if same else (self._query_count(qy), self._query_count(f"{qx} {qy}"))
         try:
             return HitCounts(fx, fy, fxy, self.m)
         except InvalidCountsError as exc:

@@ -110,6 +110,17 @@ def test_weigh_warm_cache_needs_no_provider(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("cache", ["", "  "])
+def test_weigh_blank_cache_path_exits_nonzero(capsys, tmp_path, monkeypatch, cache):
+    monkeypatch.chdir(tmp_path)  # a cache file opened at a blank path would land here
+    code, stdout, stderr = run(capsys, "weigh", "--tree", EVALFIX / "store_tree.tsv",
+                               "--provider", EVALFIX / "provider.json",
+                               "--cache", cache, "--out", tmp_path / "w.tsv")
+    assert (code, stdout) == (1, "")
+    assert "contexttrust:" in stderr and "--cache" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 class KilledAfter(Exception):
     """Stands in for a run that dies part way through weighing."""
 

@@ -1,9 +1,12 @@
+import gc
+import http.server
 import itertools
 import json
 import math
 import shutil
 import sys
 import tempfile
+import threading
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -117,6 +120,9 @@ def test_nss_identical_counts_is_one():
 def test_nss_zero_cooccurrence_hits_floor():
     assert nss(HitCounts(1000, 100, 0, 10**6)) == 0.01
     assert nss(HitCounts(1000, 100, 0, 10**6), epsilon=0.2) == 0.2
+    # An unseen term has no co-occurrence either: the floor, where ngd is undefined.
+    assert nss(HitCounts(0, 10, 0, 100)) == 0.01
+    assert nss(HitCounts(10, 0, 0, 100)) == 0.01
 
 
 def test_nss_clamps_distance_past_one():
@@ -636,10 +642,53 @@ def test_malformed_body_fails_at_once_as_provider_error(body, extract):
 
 
 def test_remote_inconsistent_counts_rejected():
-    counts_by_query = {'"a"': 10, '"b"': 10, '"a" "b"': 500}
-    provider = remote(FakeTransport(lambda q: counts_by_query[q]))
-    with pytest.raises(ProviderError, match="inconsistent"):
-        provider.counts("a", "b")
+    # A pair count above a term's count, and a term paired with itself whose one count
+    # is negative or above m.
+    for y, counts_by_query in [
+        ("b", {'"a"': 10, '"b"': 10, '"a" "b"': 500}),
+        ("a", {'"a"': -5}),
+        ("a", {'"a"': 10**10 + 1}),
+    ]:
+        provider = remote(FakeTransport(counts_by_query.__getitem__))
+        with pytest.raises(ProviderError, match="inconsistent"):
+            provider.counts("a", y)
+
+
+@pytest.mark.parametrize("x, y", [("", "x"), ("x", "  ")])
+def test_remote_blank_term_sends_no_query(x, y):
+    transport = FakeTransport(lambda q: 5)
+    with pytest.raises(DomainError, match="empty"):
+        remote(transport).counts(x, y)
+    assert transport.urls == []
+
+
+def test_default_transport_closes_a_failed_response():
+    class Unavailable(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_error(503)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Unavailable)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    # No transport given: each attempt goes through _default_transport, and the retry
+    # loop keeps the last error in a reference cycle that only the collector frees.
+    provider = remote(None, endpoint=f"http://127.0.0.1:{server.server_port}/?q={{query}}",
+                      retries=2)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ProviderError, match="after 2 attempts: HTTP Error 503"):
+                provider.counts("a", "a")
+            gc.collect()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_remote_honors_min_interval():
