@@ -392,9 +392,8 @@ def _check_remote_options(options: dict[str, object]) -> None:
 class RemoteProvider(CountProvider):
     """Counts from a search endpoint, one HTTP query per term and pair.
 
-    Consecutive upstream requests are spaced by the configured minimum
-    interval.  A transport failure is retried a bounded number of times; a
-    malformed response fails at once.  A count is never invented on failure.
+    Request starts, a retry's included, are at least ``interval_ms`` apart; waiting for a
+    response counts toward that.  Only a transport failure is retried; no count is invented.
     """
 
     def __init__(
@@ -420,7 +419,7 @@ class RemoteProvider(CountProvider):
         self.retries = retries
         self.api_key = api_key
         self._transport = transport or _default_transport
-        self._last_request = 0.0
+        self._last_start = 0.0
 
     def _url(self, query: str) -> str:
         url = self.endpoint.replace("{query}", urllib.parse.quote(query, safe=""))
@@ -435,16 +434,15 @@ class RemoteProvider(CountProvider):
         url = self._url(query)
         last_error: Exception | None = None
         for _ in range(self.retries):
-            wait = self._last_request + self.interval - time.monotonic()
+            wait = self._last_start + self.interval - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
+            self._last_start = time.monotonic()
             try:
                 body = self._transport(url)
             except Exception as exc:
                 last_error = exc
                 continue
-            finally:
-                self._last_request = time.monotonic()
             try:
                 return _extract_count(body, self.json_path, self.regex)
             except ProviderError as exc:
@@ -453,6 +451,8 @@ class RemoteProvider(CountProvider):
 
     def counts(self, x: str, y: str) -> HitCounts:
         same = _term(x) == _term(y)  # a blank term is a DomainError before any query
+        if '"' in x + y:  # it would end the term's phrase query early
+            raise DomainError(f"a remote query term cannot hold a double quote: ({x!r}, {y!r})")
         qx, qy = f'"{x}"', f'"{y}"'
         fx = self._query_count(qx)
         fy, fxy = (fx, fx) if same else (self._query_count(qy), self._query_count(f"{qx} {qy}"))

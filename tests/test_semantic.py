@@ -707,6 +707,74 @@ def test_remote_honors_min_interval():
     assert stamps[2] - stamps[1] >= 0.029
 
 
+class FakeClock:
+    """Stands in for ``semantic.time``: sleeps and slow transports move it, nothing waits."""
+
+    def __init__(self):
+        self.now = 1000.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+def paced_transport(clock, took, failures=0):
+    """A transport that takes ``took`` seconds of fake time, failing the first ``failures``."""
+    starts = []
+
+    def transport(url):
+        starts.append(clock.now)
+        clock.now += took
+        if len(starts) <= failures:
+            raise IOError("connection reset")
+        return json.dumps({"stats": {"total": 3}})
+
+    return transport, starts
+
+
+def test_remote_slower_transport_than_interval_gets_no_sleep(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr("contexttrust.semantic.time", clock)
+    transport, starts = paced_transport(clock, took=0.05)
+    remote(transport, interval_ms=30).counts("a", "b")
+    assert len(starts) == 3
+    assert clock.sleeps == []
+
+
+def test_remote_interval_counts_the_time_spent_waiting_for_a_response(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr("contexttrust.semantic.time", clock)
+    transport, starts = paced_transport(clock, took=0.4 * 0.05)
+    remote(transport, interval_ms=50).counts("a", "b")
+    assert clock.sleeps == [pytest.approx(0.6 * 0.05)] * 2
+    assert [b - a for a, b in zip(starts, starts[1:])] == [pytest.approx(0.05)] * 2
+
+
+def test_remote_retry_starts_an_interval_after_the_failed_attempt(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr("contexttrust.semantic.time", clock)
+    transport, starts = paced_transport(clock, took=0.4 * 0.03, failures=1)
+    assert remote(transport, interval_ms=30, retries=2).counts("a", "a").fx == 3
+    assert len(starts) == 2
+    assert starts[1] - starts[0] >= 0.03 - 1e-9
+
+
+@pytest.mark.parametrize("x, y", [('12" monitor', "screen"), ("screen", '12" monitor'),
+                                  ('12" monitor', '12" monitor')])
+def test_remote_double_quote_term_sends_no_query(x, y):
+    transport = FakeTransport(lambda q: 5)
+    with pytest.raises(DomainError, match="double quote"):
+        remote(transport).counts(x, y)
+    assert transport.urls == []
+    # Only the phrase query cannot hold it: a table still serves the pair.
+    table = StaticTableProvider({('12" monitor', "screen"): HitCounts(4, 9, 2, 10)})
+    assert table.counts("screen", '12" monitor') == HitCounts(9, 4, 2, 10)
+
+
 def test_remote_requires_exactly_one_extraction_rule():
     with pytest.raises(ConfigError):
         remote(lambda url: "", json_path=None, regex=None)
