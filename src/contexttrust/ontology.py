@@ -205,40 +205,37 @@ def dump_tree(tree: OntologyTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _climb(parents: dict[str, str], node: str, top: str) -> list[str]:
-    """Inclusive node sequence from node up to its ancestor top."""
-    path = [node]
-    while node != top:
-        node = parents[node]
-        path.append(node)
-    return path
+def _climbs(tree: OntologyTree, a: str, b: str) -> tuple[list[str], list[str]]:
+    """Inclusive node sequences from a and from b up to their lowest common ancestor."""
+    depths, parents = tree.depths, tree.parents
+    depth_a, depth_b = depths[tree.require(a)], depths[tree.require(b)]
+    up_a, up_b = [a], [b]
+    for _ in range(depth_a - depth_b):
+        a = parents[a]
+        up_a.append(a)
+    for _ in range(depth_b - depth_a):
+        b = parents[b]
+        up_b.append(b)
+    while a != b:
+        a, b = parents[a], parents[b]
+        up_a.append(a)
+        up_b.append(b)
+    return up_a, up_b
 
 
 def root_path(tree: OntologyTree, a: str) -> list[str]:
     """Inclusive node sequence from a up to the root."""
-    return _climb(tree.parents, tree.require(a), tree.root)
+    return _climbs(tree, a, tree.root)[0]
 
 
 def lowest_common_ancestor(tree: OntologyTree, a: str, b: str) -> str:
     """The deepest node that lies on both root paths."""
-    tree.require(a)
-    tree.require(b)
-    depths, parents = tree.depths, tree.parents
-    depth_a, depth_b = depths[a], depths[b]
-    for _ in range(depth_a - depth_b):
-        a = parents[a]
-    for _ in range(depth_b - depth_a):
-        b = parents[b]
-    while a != b:
-        a, b = parents[a], parents[b]
-    return a
+    return _climbs(tree, a, b)[0][-1]
 
 
 def path_between(tree: OntologyTree, a: str, b: str) -> NodePath:
-    """The unique path a -> lowest common ancestor -> b."""
-    lca = lowest_common_ancestor(tree, a, b)
-    up_a = _climb(tree.parents, a, lca)
-    up_b = _climb(tree.parents, b, lca)
+    """The unique path a -> lowest common ancestor -> b, from one climb of each side."""
+    up_a, up_b = _climbs(tree, a, b)
     nodes = (*up_a, *reversed(up_b[:-1]))  # a .. lca .. b
     # Each climb lists a child just before its parent.
     ascending = zip(up_a[1:], up_a)

@@ -148,6 +148,12 @@ def _pair_key(x: str, y: str) -> tuple[tuple[str, str], bool]:
     return ((b, a), True) if b < a else ((a, b), False)
 
 
+def _oriented(x: str, y: str, counts: HitCounts) -> tuple[tuple[str, str], HitCounts]:
+    """The table key of the pair (x, y), and its counts in the key's term order."""
+    key, flipped = _pair_key(x, y)
+    return key, counts.swapped() if flipped else counts
+
+
 def _lookup(table: dict[tuple[str, str], HitCounts], x: str, y: str) -> Optional[HitCounts]:
     key, flipped = _pair_key(x, y)
     counts = table.get(key)
@@ -183,8 +189,7 @@ class PairCache:
         return _lookup(self._entries, x, y)
 
     def put(self, x: str, y: str, counts: HitCounts) -> None:
-        (term_a, term_b), flipped = _pair_key(x, y)
-        stored = counts.swapped() if flipped else counts
+        (term_a, term_b), stored = _oriented(x, y, counts)
         self._entries[(term_a, term_b)] = stored
         if self._torn_at is not None:
             os.truncate(self.path, self._torn_at)
@@ -208,13 +213,12 @@ def _parse_counts_table(text: str, path: str | Path) -> dict[tuple[str, str], Hi
         if len(fields) != 6:
             raise ConfigError(f"{path}: line {number}: expected 6 tab-separated fields")
         try:
-            counts = HitCounts(*(int(f) for f in fields[2:]))
-            key, flipped = _pair_key(fields[0], fields[1])
+            key, counts = _oriented(fields[0], fields[1], HitCounts(*(int(f) for f in fields[2:])))
         except ValueError as exc:
             raise ConfigError(f"{path}: line {number}: counts must be integers") from exc
         except (InvalidCountsError, DomainError) as exc:
             raise ConfigError(f"{path}: line {number}: {exc}") from exc
-        table[key] = counts.swapped() if flipped else counts
+        table[key] = counts
     return table
 
 
@@ -227,10 +231,10 @@ class CountProvider(ABC):
 
 
 class StaticTableProvider(CountProvider):
-    """Counts served from a fixed pair table; unknown pairs are an error."""
+    """Counts served from a fixed pair table, keyed as lookups are; unknown pairs are an error."""
 
     def __init__(self, table: dict[tuple[str, str], HitCounts]):
-        self._table = dict(table)
+        self._table = dict(_oriented(x, y, counts) for (x, y), counts in table.items())
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StaticTableProvider":
@@ -321,8 +325,7 @@ class CorpusProvider(CountProvider):
         return found
 
     def counts(self, x: str, y: str) -> HitCounts:
-        _term(x)
-        _term(y)  # a blank term is a DomainError before the corpus is read
+        x, y = _term(x), _term(y)  # a blank term is a DomainError before the corpus is read
         for term in (x, y):
             if term not in self._docs_by_term:
                 self._docs_by_term[term] = self._docs_with(term)

@@ -51,13 +51,18 @@ def oriented_edges(tree: OntologyTree, nodes: list[str]) -> list[tuple[str, str]
     return [(v, u) if tree.parents.get(u) == v else (u, v) for u, v in zip(nodes, nodes[1:])]
 
 
-def brute_force_root_set(tree: OntologyTree, node: str) -> set[str]:
-    """The nodes of node's inclusive root path, by plain parent lookups."""
-    seen = {node}
+def brute_force_root_walk(tree: OntologyTree, node: str) -> list[str]:
+    """Node's inclusive root path, node first, by plain parent lookups."""
+    walk = [node]
     while node in tree.parents:
         node = tree.parents[node]
-        seen.add(node)
-    return seen
+        walk.append(node)
+    return walk
+
+
+def brute_force_root_set(tree: OntologyTree, node: str) -> set[str]:
+    """The nodes of node's inclusive root path."""
+    return set(brute_force_root_walk(tree, node))
 
 
 @st.composite

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from helpers import (
     brute_force_root_set,
+    brute_force_root_walk,
     brute_force_unique_path,
     chain_tree,
     oriented_edges,
@@ -315,6 +316,11 @@ def test_lca_and_depths_match_brute_force(tree_pair):
     lca = lowest_common_ancestor(tree, a, b)
     assert lca in common
     assert tree.depths[lca] == len(common) - 1
+    for node in tree.nodes:
+        assert root_path(tree, node) == brute_force_root_walk(tree, node)
+    # Read from the root down, the two root paths agree down to the LCA, then part for good.
+    down_a, down_b = root_path(tree, a)[::-1], root_path(tree, b)[::-1]
+    assert lca == [u for u, v in zip(down_a, down_b) if u == v][-1]
 
 
 @given(tree_with_pair())

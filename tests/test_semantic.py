@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import valid_hit_counts
+from helpers import DATA_DIR, valid_hit_counts
 from contexttrust.errors import (
     ConfigError,
     CorpusError,
@@ -295,6 +295,21 @@ def test_corpus_builds_phrase_patterns_only_where_the_index_cannot_decide(tiny_c
     assert built == ["laptop computer", "laptop", "phone"]
 
 
+def test_corpus_finds_each_term_once_whatever_its_case_or_spaces(monkeypatch):
+    scanned = []
+    docs_with = CorpusProvider._docs_with
+
+    def counting_docs_with(self, term):
+        scanned.append(term)
+        return docs_with(self, term)
+
+    monkeypatch.setattr(CorpusProvider, "_docs_with", counting_docs_with)
+    provider = CorpusProvider(DATA_DIR / "corpus")
+    first = provider.counts("Laptop", "computer")
+    assert provider.counts("laptop", "Computer ") == first
+    assert scanned == ["laptop", "computer"]
+
+
 @pytest.mark.parametrize("pair", [("", "x"), ("x", " \t")])
 def test_corpus_blank_term_is_refused_before_the_corpus_is_read(tmp_path, pair):
     with pytest.raises(DomainError, match="term is empty"):
@@ -398,6 +413,14 @@ def test_counts_table_normalizes_unsorted_rows(tmp_path):
     provider = StaticTableProvider.from_file(table)
     assert provider.counts("zebra", "ant") == HitCounts(100, 50, 10, 1000)
     assert provider.counts("ant", "zebra") == HitCounts(50, 100, 10, 1000)
+
+
+def test_static_table_from_a_dict_keys_pairs_as_lookups_do():
+    provider = StaticTableProvider({("laptop", "Computer"): HitCounts(5, 9, 2, 10)})
+    assert provider.counts("laptop", "computer") == HitCounts(5, 9, 2, 10)
+    assert provider.counts("computer", "laptop") == HitCounts(9, 5, 2, 10)
+    with pytest.raises(DomainError, match="tab"):
+        StaticTableProvider({("lap\ttop", "computer"): HitCounts(5, 9, 2, 10)})
 
 
 class CountingProvider(CountProvider):
