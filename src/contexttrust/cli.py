@@ -27,6 +27,8 @@ from . import dataset, evaluation, ontology, semantic, similarity, trust
 from .errors import ContextTrustError, DomainError, SchemaError
 from .similarity import ALL_MEASURES, PathMode, TREE_MEASURES
 
+_WRITE_CHARS = 1 << 16  # characters encoded and written at a time by _write_atomic
+
 
 def _write_atomic(path: str | Path, text: str) -> None:
     # A unique sibling name: no reader sees a partial file, no other file is clobbered.
@@ -37,7 +39,9 @@ def _write_atomic(path: str | Path, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes 0600; keep a plain write's mode
-            handle.write(text)
+            # In slices, so that no encoded copy of the whole text is made.
+            for start in range(0, len(text), _WRITE_CHARS):
+                handle.write(text[start:start + _WRITE_CHARS])
             handle.flush()
             os.fsync(fd)
         os.replace(tmp, path)
@@ -78,13 +82,17 @@ def _read_pairs(path: str | Path) -> list[evaluation.Pair]:
         raise SchemaError(f"{path}: pairs file is empty, expected header row") from None
     if [h.strip() for h in header] != ["seller", "known", "unknown"]:
         raise SchemaError(f"{path}: pairs header must be seller,known,unknown")
+    shared = {}.setdefault  # one string object per distinct name, kept by every row
     pairs: list[evaluation.Pair] = []
     for number, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 3:
             raise SchemaError(f"{path}: row {number}: expected 3 columns")
-        pairs.append((row[0].strip(), row[1].strip(), row[2].strip()))
+        seller, known, unknown = row[0].strip(), row[1].strip(), row[2].strip()
+        if not (seller and known and unknown):
+            raise SchemaError(f"{path}: row {number}: a field is blank")
+        pairs.append((shared(seller, seller), shared(known, known), shared(unknown, unknown)))
     return pairs
 
 
@@ -146,9 +154,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise DomainError(
             "no eligible sellers: every profile fell below the context/rating thresholds"
         )
-    pairs = _read_pairs(args.pairs)
     measures = args.measure or ["weighted", "eq1"]
-    report = evaluation.run_comparison(profiles, tree, measures, pairs, PathMode(args.mode))
+    # The pairs are passed, not kept: the report's rows hold the names they need.
+    report = evaluation.run_comparison(
+        profiles, tree, measures, _read_pairs(args.pairs), PathMode(args.mode)
+    )
     _write_atomic(args.out, evaluation.report_to_csv(report))
     sys.stdout.write(evaluation.format_summary(report))
     return 0

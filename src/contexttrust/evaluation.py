@@ -21,10 +21,11 @@ from .errors import (
     ArityError,
     ContextTrustError,
     DegenerateInputError,
+    DomainError,
     UnknownSellerError,
 )
 from .ontology import OntologyTree
-from .similarity import PathMode
+from .similarity import TREE_MEASURES, PathMode
 from .trust import predict_for_pair
 
 Pair = tuple[str, str, str]  # seller, known context, unknown context
@@ -51,6 +52,7 @@ class EvaluationRecord(NamedTuple):
 
 REPORT_HEADER = ",".join(EvaluationRecord._fields)
 _ROW = ",".join(["%s"] * 4 + ["%.6f"] * 6) + "\n"
+_BLOCK_ROWS = 4096  # rows rendered and joined at a time by report_to_csv
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,8 @@ def run_comparison(
     mode: PathMode = PathMode.PRODUCT,
 ) -> ComparisonReport:
     """Score every measure on every pair; rows ordered by pair then measure."""
+    if len(set(measures)) != len(measures) or not set(measures) <= set(TREE_MEASURES):
+        raise DomainError(f"measures {list(measures)} must be distinct, each in {TREE_MEASURES}")
     records: list[EvaluationRecord] = []
     for seller, known, unknown in pairs:
         try:
@@ -150,18 +154,20 @@ def report_to_csv(report: ComparisonReport) -> str:
     Each row is one %-format; if a text field needs quoting, ``csv.writer``
     writes every row instead.
     """
-    # Written one row at a time: a joined list would hold every row string at once.
-    buffer = io.StringIO()
-    buffer.write(REPORT_HEADER + "\n")
-    buffer.writelines(map(_ROW.__mod__, report.records))
-    text = buffer.getvalue()
-    lines = len(report.records) + 1
+    # Joined a block at a time: one join over all rows would hold every row string at
+    # once, and a StringIO over-allocates as it grows.
+    records = report.records
+    blocks = [REPORT_HEADER + "\n"]
+    for start in range(0, len(records), _BLOCK_ROWS):
+        blocks.append("".join(map(_ROW.__mod__, records[start:start + _BLOCK_ROWS])))
+    text = "".join(blocks)
+    lines = len(records) + 1
     # Numbers render without commas, quotes or line breaks, so any extra one is in a text field.
     if '"' in text or "\r" in text or text.count(",") != 9 * lines or text.count("\n") != lines:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(EvaluationRecord._fields)
-        writer.writerows([*r[:4], *("%.6f" % v for v in r[4:])] for r in report.records)
+        writer.writerows([*r[:4], *("%.6f" % v for v in r[4:])] for r in records)
         text = buffer.getvalue()
     return text
 

@@ -5,6 +5,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,53 @@ def test_eval_write_spares_tmp_file_and_keeps_mode(capsys, tmp_path):
     assert stat.S_IMODE(report_path.stat().st_mode) == 0o666 & ~umask
 
 
+def test_eval_repeated_measure_exits_nonzero_and_spares_out(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    report_path = tmp_path / "report.csv"
+    report_path.write_bytes(b"old report\n")
+    code, stdout, stderr = run(capsys, *eval_args(tree, report_path, ("weighted", "weighted")))
+    assert code == 1
+    assert stdout == ""
+    assert "must be distinct" in stderr
+    assert report_path.read_bytes() == b"old report\n"
+
+
+def test_write_atomic_writes_a_multi_slice_text_whole(tmp_path):
+    target = tmp_path / "big.csv"
+    text = "".join("row %07d,\u00e9t\u00e9\n" % i for i in range(300_000))
+    assert len(text) > 4 * cli._WRITE_CHARS and len(text.encode("utf-8")) > 5 << 20
+    cli._write_atomic(target, text)
+    assert target.read_bytes() == text.encode("utf-8")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
+
+def test_write_atomic_encoding_failure_past_the_first_slice_keeps_the_old_file(tmp_path):
+    target = tmp_path / "big.csv"
+    target.write_bytes(b"old\n")
+    text = "a" * (3 * cli._WRITE_CHARS + 5) + "\ud800" + "b" * 10
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(target, text)
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
+
+def test_write_atomic_makes_no_whole_copy_of_the_text(tmp_path):
+    text = "0123456789abcde\n" * (1 << 19)  # 8 MiB
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cli._write_atomic(tmp_path / "big.csv", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1 << 20
+    assert (tmp_path / "big.csv").stat().st_size == len(text)
+
+
 def test_eval_empty_pairs_writes_header_only(capsys, tmp_path):
     tree, _ = weigh_fixture_tree(capsys, tmp_path)
     pairs = tmp_path / "pairs.csv"
@@ -443,6 +491,21 @@ def test_read_pairs_refuses_a_row_with_two_columns(tmp_path):
     pairs.write_text("seller,known,unknown\ns,Laptop,Books\ns,Laptop\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="row 3: expected 3 columns"):
         cli._read_pairs(pairs)
+
+
+@pytest.mark.parametrize("row", [",Laptop,Books", "s, ,Books", "s,Laptop,"])
+def test_read_pairs_refuses_a_row_with_a_blank_field(tmp_path, row):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"seller,known,unknown\ns,Laptop,Books\n{row}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"pairs\.csv: row 3: a field is blank"):
+        cli._read_pairs(pairs)
+
+
+def test_read_pairs_keeps_one_string_per_name(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("seller,known,unknown\ns,Laptop,Books\ns ,Books,Laptop\n", encoding="utf-8")
+    (s1, laptop1, books1), (s2, books2, laptop2) = cli._read_pairs(pairs)
+    assert s1 is s2 and laptop1 is laptop2 and books1 is books2
 
 
 # --- one parser per process ------------------------------------------------------

@@ -11,10 +11,12 @@ from contexttrust.dataset import Review, build_profiles
 from contexttrust.errors import (
     ArityError,
     DegenerateInputError,
+    DomainError,
     MissingContextError,
     UnknownNodeError,
     UnknownSellerError,
 )
+from contexttrust import evaluation
 from contexttrust.evaluation import (
     REPORT_HEADER,
     ComparisonReport,
@@ -158,6 +160,20 @@ def test_empty_pairs_give_empty_report(small_setup):
     assert report.rate_diff_error_pearson is None
 
 
+@pytest.mark.parametrize("measures", [
+    ["weighted", "weighted"],
+    ["weighted", "eq1", "weighted"],
+    ["keyword"],
+    ["weighted", "task"],
+])
+@pytest.mark.parametrize("pairs", [[], [("s", "c0", "c2")]])
+def test_measures_checked_once_before_any_pair(small_setup, measures, pairs):
+    profiles, tree = small_setup
+    with pytest.raises(DomainError, match="measures") as caught:
+        run_comparison(profiles, tree, measures, pairs)
+    assert "pair (" not in str(caught.value)
+
+
 def test_rows_ordered_by_pair_then_measure(small_setup):
     profiles, tree = small_setup
     pairs = [("s", "c0", "c2"), ("s", "c1", "c2")]
@@ -246,6 +262,38 @@ def test_report_csv_quotes_text_like_csv_writer():
     writer.writerow(EvaluationRecord._fields)
     writer.writerows([*r[:4], *map("{:.6f}".format, r[4:])] for r in records)
     assert report_to_csv(report) == buffer.getvalue()
+
+
+def block_records(count, last_text=None):
+    """count rows that need no quoting; the last one's text fields replaced if given."""
+    numbers = (0.72, 2.88, 2.5, 7.6, 7.6, 1.0)
+    records = [EvaluationRecord("s%d" % i, "c0", "c1", "eq1", *numbers) for i in range(count)]
+    if last_text is not None:
+        records[-1] = EvaluationRecord(*last_text, *numbers)
+    return tuple(records)
+
+
+@pytest.mark.parametrize("count", [
+    0, 1, evaluation._BLOCK_ROWS - 1, evaluation._BLOCK_ROWS, evaluation._BLOCK_ROWS + 1,
+])
+def test_report_csv_at_block_edges_equals_one_format_per_row(count, monkeypatch):
+    # The csv.writer fallback would mend a lost or doubled row, so it must not run here.
+    monkeypatch.setattr(evaluation.csv, "writer", lambda *a, **k: pytest.fail("fallback ran"))
+    records = block_records(count)
+    expected = REPORT_HEADER + "\n" + "".join(evaluation._ROW % r for r in records)
+    assert report_to_csv(ComparisonReport(records, {}, None)) == expected
+
+
+def test_report_csv_quoting_in_the_last_block_switches_every_row():
+    records = block_records(evaluation._BLOCK_ROWS + 1, ("s", "Books, used", "c1", "eq1"))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(EvaluationRecord._fields)
+    writer.writerows([*r[:4], *map("{:.6f}".format, r[4:])] for r in records)
+    text = report_to_csv(ComparisonReport(records, {}, None))
+    assert text == buffer.getvalue()
+    assert text.endswith('s,"Books, used",c1,eq1,0.720000,2.880000,2.500000,'
+                         '7.600000,7.600000,1.000000\n')
 
 
 def test_summary_lists_measures(small_setup):
