@@ -62,10 +62,10 @@ def _build_provider(args: argparse.Namespace) -> semantic.CountProvider:
 def _load_profiles(args: argparse.Namespace) -> dict[str, dataset.TrustProfile]:
     reviews_by_seller: dict[str, list[dataset.Review]] = {}
     for spec in args.reviews:
-        if "=" in spec:
-            seller, _, path = spec.partition("=")
-        else:
-            seller, path = Path(spec).stem, spec
+        seller, path = spec.split("=", 1) if "=" in spec else (Path(spec).stem, spec)
+        seller = seller.strip()  # as _read_pairs strips the names it reads
+        if not seller:
+            raise DomainError(f"--reviews {spec!r}: the seller name is blank")
         reviews_by_seller.setdefault(seller, []).extend(
             dataset.load_reviews(path, seller=seller)
         )

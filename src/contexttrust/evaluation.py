@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -60,7 +61,7 @@ class ComparisonReport:
     records: tuple[EvaluationRecord, ...]
     mean_abs_error: dict[str, float]
     # Correlation of rate difference against the weighted measure's absolute
-    # error; None when not computable (no weighted rows, or degenerate data).
+    # error; None with fewer than two weighted rows or with zero variance.
     rate_diff_error_pearson: Optional[float]
 
 
@@ -105,8 +106,13 @@ def run_comparison(
     mode: PathMode = PathMode.PRODUCT,
 ) -> ComparisonReport:
     """Score every measure on every pair; rows ordered by pair then measure."""
-    if len(set(measures)) != len(measures) or not set(measures) <= set(TREE_MEASURES):
-        raise DomainError(f"measures {list(measures)} must be distinct, each in {TREE_MEASURES}")
+    if not measures or len(set(measures)) != len(measures) or not set(measures) <= set(TREE_MEASURES):
+        raise DomainError(
+            f"measures {list(measures)} must be distinct, one or more, each in {TREE_MEASURES}"
+        )
+    # The summary's inputs, filled as the rows are scored: errors by measure, one diff a pair.
+    errors = {measure: array("d") for measure in measures}
+    differences = array("d")
     records: list[EvaluationRecord] = []
     for seller, known, unknown in pairs:
         try:
@@ -118,29 +124,24 @@ def run_comparison(
             for measure in measures:
                 prediction = predict_for_pair(profile, tree, measure, known, unknown, mode)
                 signed = error_percentage(prediction.predicted_rate, real)
+                error = abs(signed)
+                errors[measure].append(error)
                 records.append(EvaluationRecord(
                     seller, known, unknown, measure, prediction.similarity,
-                    prediction.predicted_rate, real, signed, abs(signed), diff,
+                    prediction.predicted_rate, real, signed, error, diff,
                 ))
+            differences.append(diff)
         except ContextTrustError as exc:
             raise type(exc)(f"pair ({seller}, {known}, {unknown}): {exc}") from exc
 
-    mean_abs: dict[str, float] = {}
-    for measure in measures:
-        errors = [r.abs_error_pct for r in records if r.measure == measure]
-        if errors:
-            mean_abs[measure] = sum(errors) / len(errors)
-
+    # sum() over the array, not a running total: from Python 3.12 sum() is compensated.
+    mean_abs = {measure: sum(e) / len(e) for measure, e in errors.items() if e}
     correlation: Optional[float] = None
-    weighted_rows = [r for r in records if r.measure == "weighted"]
-    if len(weighted_rows) >= 2:
+    if len(errors.get("weighted", ())) >= 2:
         try:
-            correlation = pearson(
-                [r.rate_difference for r in weighted_rows],
-                [r.abs_error_pct for r in weighted_rows],
-            )
+            correlation = pearson(differences, errors["weighted"])
         except DegenerateInputError:
-            correlation = None
+            pass
     return ComparisonReport(
         records=tuple(records),
         mean_abs_error=mean_abs,
@@ -177,11 +178,7 @@ def format_summary(report: ComparisonReport) -> str:
     lines = ["measure      mean_abs_error_pct"]
     for measure, value in report.mean_abs_error.items():
         lines.append(f"{measure:<12} {value:.6f}")
-    if report.rate_diff_error_pearson is not None:
-        lines.append(
-            f"pearson(rate_difference, weighted abs error) = "
-            f"{report.rate_diff_error_pearson:.6f}"
-        )
-    else:
-        lines.append("pearson(rate_difference, weighted abs error) = n/a")
+    value = report.rate_diff_error_pearson
+    shown = "n/a" if value is None else f"{value:.6f}"
+    lines.append(f"pearson(rate_difference, weighted abs error) = {shown}")
     return "\n".join(lines) + "\n"

@@ -218,7 +218,8 @@ def _parse_counts_table(text: str, path: str | Path) -> dict[tuple[str, str], Hi
             raise ConfigError(f"{path}: line {number}: counts must be integers") from exc
         except (InvalidCountsError, DomainError) as exc:
             raise ConfigError(f"{path}: line {number}: {exc}") from exc
-        table[key] = counts
+        if table.setdefault(key, counts) != counts:
+            raise ConfigError(f"{path}: line {number}: pair {key} repeats with other counts")
     return table
 
 

@@ -315,6 +315,33 @@ def test_predict_seller_from_file_stem(capsys, tmp_path):
     assert stdout.splitlines()[-1] == "5.000000"
 
 
+@pytest.mark.parametrize("name", ["", "  "])
+def test_eval_blank_reviews_seller_exits_nonzero_and_spares_out(capsys, tmp_path, name):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    report_path = tmp_path / "report.csv"
+    report_path.write_bytes(b"old report\n")
+    spec = f"{name}={EVALFIX / 'techmart.csv'}"
+    code, stdout, stderr = run(capsys, *eval_args(tree, report_path), "--reviews", spec)
+    assert code == 1
+    assert stdout == ""
+    assert f"--reviews {spec!r}: the seller name is blank" in stderr
+    assert report_path.read_bytes() == b"old report\n"
+
+
+def test_padded_reviews_seller_is_the_plain_name(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    outputs = set()
+    for name in ("techmart", " techmart", "techmart\t"):
+        code, stdout, stderr = run(
+            capsys, "predict", "--tree", tree,
+            "--reviews", f"{name}={EVALFIX / 'techmart.csv'}",
+            "techmart", "Laptop", "Computers",
+        )
+        assert code == 0, stderr
+        outputs.add(stdout)
+    assert len(outputs) == 1
+
+
 def test_predict_unknown_seller(capsys, tmp_path):
     tree, _ = weigh_fixture_tree(capsys, tmp_path)
     code, _, stderr = run(

@@ -1,5 +1,6 @@
 import csv
 import io
+import random
 import statistics
 
 import pytest
@@ -28,6 +29,7 @@ from contexttrust.evaluation import (
     report_to_csv,
     run_comparison,
 )
+from contexttrust.ontology import OntologyTree
 
 
 def profiles_from(spec):
@@ -161,6 +163,7 @@ def test_empty_pairs_give_empty_report(small_setup):
 
 
 @pytest.mark.parametrize("measures", [
+    [],
     ["weighted", "weighted"],
     ["weighted", "eq1", "weighted"],
     ["keyword"],
@@ -236,6 +239,62 @@ def test_pearson_absent_without_weighted_measure(small_setup):
     pairs = [("s", "c0", "c2"), ("s", "c1", "c2")]
     report = run_comparison(profiles, tree, ["eq1"], pairs)
     assert report.rate_diff_error_pearson is None
+
+
+def summary_from_records(report, measures):
+    """The summary recomputed from the rows: filter by measure, sum a list, then pearson."""
+    mean_abs = {}
+    for measure in measures:
+        errors = [r.abs_error_pct for r in report.records if r.measure == measure]
+        if errors:
+            mean_abs[measure] = sum(errors) / len(errors)
+    weighted_rows = [r for r in report.records if r.measure == "weighted"]
+    correlation = None
+    if len(weighted_rows) >= 2:
+        try:
+            correlation = pearson(
+                [r.rate_difference for r in weighted_rows],
+                [r.abs_error_pct for r in weighted_rows],
+            )
+        except DegenerateInputError:
+            pass
+    return mean_abs, correlation
+
+
+def random_setup(seed):
+    """Three sellers rating every node of a seven-node tree with random weights."""
+    rng = random.Random(seed)
+    edges = [("r", "a"), ("r", "b"), ("a", "c"), ("a", "d"), ("b", "e"), ("e", "f")]
+    tree = OntologyTree.from_edges([(p, c, rng.uniform(0.1, 0.95)) for p, c in edges])
+    contexts = ["r", "a", "b", "c", "d", "e", "f"]
+    profiles = profiles_from({
+        f"s{i}": {c: [rng.randint(1, 5) for _ in range(rng.randint(1, 4))] for c in contexts}
+        for i in range(3)
+    })
+    pairs = [
+        (f"s{rng.randrange(3)}", rng.choice(contexts), rng.choice(contexts)) for _ in range(40)
+    ]
+    return profiles, tree, pairs
+
+
+@pytest.mark.parametrize("measures", [
+    ["weighted", "eq1", "shared"], ["eq1", "shared"], ["shared", "eq1", "weighted"], ["weighted"],
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_summary_equals_a_recomputation_from_the_records(measures, seed):
+    profiles, tree, pairs = random_setup(seed)
+    cases = {"none": [], "one": pairs[:1], "two": pairs[:2], "equal": [pairs[0]] * 3, "all": pairs}
+    correlations = {}
+    for name, chosen in cases.items():
+        report = run_comparison(profiles, tree, measures, chosen)
+        mean_abs, correlation = summary_from_records(report, measures)
+        assert report.mean_abs_error == mean_abs
+        assert list(report.mean_abs_error) == list(mean_abs)
+        assert report.rate_diff_error_pearson == correlation
+        correlations[name] = correlation
+    # Three equal pairs have zero variance; the full list has a correlation when weighted is in.
+    assert correlations["equal"] is None
+    assert (correlations["all"] is None) == ("weighted" not in measures)
 
 
 def test_report_csv_layout(small_setup):

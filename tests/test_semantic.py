@@ -415,6 +415,30 @@ def test_counts_table_normalizes_unsorted_rows(tmp_path):
     assert provider.counts("ant", "zebra") == HitCounts(50, 100, 10, 1000)
 
 
+COUNTS_LOOKUPS = {
+    "table": lambda path: StaticTableProvider.from_file(path).counts,
+    "cache": lambda path: PairCache(path).get,
+}
+
+
+@pytest.mark.parametrize("kind", COUNTS_LOOKUPS)
+def test_counts_table_refuses_a_pair_repeated_with_other_counts(tmp_path, kind):
+    # "B A 2 4" is (4, 2) in the key's order, against "a b 3 2" on line 1.
+    path = tmp_path / "counts.tsv"
+    path.write_text("a\tb\t3\t2\t1\t10\nB\tA\t2\t4\t1\t10\n", encoding="utf-8")
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match=r"counts\.tsv: line 2: pair \('a', 'b'\) repeats"):
+        COUNTS_LOOKUPS[kind](path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("kind", COUNTS_LOOKUPS)
+def test_counts_table_accepts_a_pair_repeated_with_the_same_counts(tmp_path, kind):
+    path = tmp_path / "counts.tsv"
+    path.write_text("a\tb\t3\t2\t1\t10\nB\tA\t2\t3\t1\t10\na\tb\t3\t2\t1\t10\n", encoding="utf-8")
+    assert COUNTS_LOOKUPS[kind](path)("b", "a") == HitCounts(2, 3, 1, 10)
+
+
 def test_static_table_from_a_dict_keys_pairs_as_lookups_do():
     provider = StaticTableProvider({("laptop", "Computer"): HitCounts(5, 9, 2, 10)})
     assert provider.counts("laptop", "computer") == HitCounts(5, 9, 2, 10)
