@@ -61,11 +61,16 @@ def _build_provider(args: argparse.Namespace) -> semantic.CountProvider:
 
 def _load_profiles(args: argparse.Namespace) -> dict[str, dataset.TrustProfile]:
     reviews_by_seller: dict[str, list[dataset.Review]] = {}
+    sources: set[tuple[str, Path]] = set()
     for spec in args.reviews:
         seller, path = spec.split("=", 1) if "=" in spec else (Path(spec).stem, spec)
         seller = seller.strip()  # as _read_pairs strips the names it reads
         if not seller:
             raise DomainError(f"--reviews {spec!r}: the seller name is blank")
+        source = (seller, Path(path).resolve())
+        if source in sources:  # read twice, every rating would count twice
+            raise DomainError(f"--reviews {spec!r}: this file is already read for {seller!r}")
+        sources.add(source)
         reviews_by_seller.setdefault(seller, []).extend(
             dataset.load_reviews(path, seller=seller)
         )

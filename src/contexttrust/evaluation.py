@@ -26,7 +26,9 @@ from .errors import (
     UnknownSellerError,
 )
 from .ontology import OntologyTree
-from .similarity import TREE_MEASURES, PathMode
+from .similarity import TREE_MEASURES, PathMode, tree_similarity
+from .trust import predict_trust
+# Unused here; bench/tracing.py patches this name. ROADMAP item 1 drops it.
 from .trust import predict_for_pair
 
 Pair = tuple[str, str, str]  # seller, known context, unknown context
@@ -119,16 +121,19 @@ def run_comparison(
             profile = profiles.get(seller)
             if profile is None:
                 raise UnknownSellerError(f"no profile for seller {seller!r}")
+            # Each rate read once; unknown first, so a missing unknown context is reported first.
             real = profile.aggregate(unknown)
-            diff = rate_difference(profile, known, unknown)
+            known_rate = profile.aggregate(known)
+            diff = abs(known_rate - real)  # rate_difference's value
             for measure in measures:
-                prediction = predict_for_pair(profile, tree, measure, known, unknown, mode)
-                signed = error_percentage(prediction.predicted_rate, real)
+                similarity = tree_similarity(tree, known, unknown, measure, mode)
+                predicted = predict_trust(known_rate, similarity)
+                signed = error_percentage(predicted, real)
                 error = abs(signed)
                 errors[measure].append(error)
                 records.append(EvaluationRecord(
-                    seller, known, unknown, measure, prediction.similarity,
-                    prediction.predicted_rate, real, signed, error, diff,
+                    seller, known, unknown, measure, similarity,
+                    predicted, real, signed, error, diff,
                 ))
             differences.append(diff)
         except ContextTrustError as exc:

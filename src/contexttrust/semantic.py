@@ -235,7 +235,11 @@ class StaticTableProvider(CountProvider):
     """Counts served from a fixed pair table, keyed as lookups are; unknown pairs are an error."""
 
     def __init__(self, table: dict[tuple[str, str], HitCounts]):
-        self._table = dict(_oriented(x, y, counts) for (x, y), counts in table.items())
+        self._table: dict[tuple[str, str], HitCounts] = {}
+        for (x, y), counts in table.items():
+            key, counts = _oriented(x, y, counts)
+            if self._table.setdefault(key, counts) != counts:
+                raise ConfigError(f"pair {key} repeats with other counts, as ({x}, {y})")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StaticTableProvider":

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable
 
 from .errors import ArityError, DomainError, InvalidContextError, MissingWeightError
-from .ontology import OntologyTree, intermediate_count, lowest_common_ancestor, path_between
+from .ontology import OntologyTree, _climbs, intermediate_count, lowest_common_ancestor
+# Unused here; bench/tracing.py patches this name. ROADMAP item 1 drops it.
+from .ontology import path_between
 
 
 class PathMode(str, Enum):
@@ -70,17 +73,19 @@ def weighted_path_similarity(
     that product (a value >= 1) and rejects an underflowed one.  Identical
     nodes give 1 in both modes, the empty product.
     """
-    path = path_between(tree, a, b)
+    up_a, up_b = _climbs(tree, a, b)
+    weights = tree.weights
     product = 1.0
-    for parent, child in path.edges:
-        weight = tree.weights.get((parent, child))
+    # a's edges going up, then b's going down: path_between's order, so the same float product.
+    for edge in chain(zip(up_a[1:], up_a), zip(up_b[:0:-1], up_b[-2::-1])):
+        weight = weights.get(edge)
         if weight is None:
-            raise MissingWeightError(f"edge ({parent!r}, {child!r}) carries no weight")
+            raise MissingWeightError(f"edge ({edge[0]!r}, {edge[1]!r}) carries no weight")
         product *= weight
     if mode is PathMode.RECIPROCAL:
         if product == 0.0:
             raise DomainError(
-                f"weight product on the path {a!r} -> {b!r} ({len(path.edges)} edges) "
+                f"weight product on the path {a!r} -> {b!r} ({len(up_a) + len(up_b) - 2} edges) "
                 "underflows to 0, so its reciprocal is undefined"
             )
         return 1.0 / product

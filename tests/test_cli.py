@@ -328,6 +328,41 @@ def test_eval_blank_reviews_seller_exits_nonzero_and_spares_out(capsys, tmp_path
     assert report_path.read_bytes() == b"old report\n"
 
 
+@pytest.mark.parametrize("spec", [
+    f"techmart={EVALFIX / 'techmart.csv'}",
+    str(EVALFIX / "techmart.csv"),  # the seller named by the file stem
+    f"techmart={EVALFIX / '..' / 'evalfix' / 'techmart.csv'}",
+], ids=["named", "stem", "another-spelling"])
+def test_eval_repeated_reviews_file_exits_nonzero_and_spares_out(capsys, tmp_path, spec):
+    # Read twice, each rating would count twice and thin contexts would pass --min-ratings.
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    report_path = tmp_path / "report.csv"
+    report_path.write_bytes(b"old report\n")
+    code, stdout, stderr = run(capsys, *eval_args(tree, report_path), "--reviews", spec)
+    assert code == 1
+    assert stdout == ""
+    assert f"--reviews {spec!r}: this file is already read for 'techmart'" in stderr
+    assert report_path.read_bytes() == b"old report\n"
+
+
+def test_two_reviews_files_for_one_seller_merge(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    header, *rows = (EVALFIX / "techmart.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    halves = []
+    for name, chosen in (("first.csv", rows[::2]), ("second.csv", rows[1::2])):
+        (tmp_path / name).write_text(header + "".join(chosen), encoding="utf-8")
+        halves += ["--reviews", f"techmart={tmp_path / name}"]
+    outputs = []
+    for reviews in (["--reviews", f"techmart={EVALFIX / 'techmart.csv'}"], halves):
+        code, stdout, stderr = run(
+            capsys, "predict", "--tree", tree, "--min-ratings", "5", *reviews,
+            "techmart", "Laptop", "Computers",
+        )
+        assert code == 0, stderr
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_padded_reviews_seller_is_the_plain_name(capsys, tmp_path):
     tree, _ = weigh_fixture_tree(capsys, tmp_path)
     outputs = set()

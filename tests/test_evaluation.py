@@ -30,6 +30,8 @@ from contexttrust.evaluation import (
     run_comparison,
 )
 from contexttrust.ontology import OntologyTree
+from contexttrust.similarity import PathMode
+from contexttrust.trust import predict_for_pair
 
 
 def profiles_from(spec):
@@ -219,6 +221,14 @@ def test_missing_context_names_pair(small_setup):
         run_comparison(profiles, tree, ["weighted"], [("s", "c0", "zzz")])
 
 
+def test_missing_unknown_context_is_reported_before_a_missing_known_one(small_setup):
+    profiles, tree = small_setup
+    with pytest.raises(MissingContextError, match="in context 'zzz'"):
+        run_comparison(profiles, tree, ["weighted"], [("s", "yyy", "zzz")])
+    with pytest.raises(MissingContextError, match="in context 'yyy'"):
+        run_comparison(profiles, tree, ["weighted"], [("s", "yyy", "c0")])
+
+
 def test_unknown_tree_node_names_pair():
     tree = chain_tree([0.9])
     profiles = profiles_from({"s": {"c0": (4,), "offtree": (3,)}})
@@ -295,6 +305,26 @@ def test_summary_equals_a_recomputation_from_the_records(measures, seed):
     # Three equal pairs have zero variance; the full list has a correlation when weighted is in.
     assert correlations["equal"] is None
     assert (correlations["all"] is None) == ("weighted" not in measures)
+
+
+@pytest.mark.parametrize("mode", list(PathMode))
+@pytest.mark.parametrize("measures", [
+    ["weighted", "eq1", "shared"], ["eq1", "shared"], ["shared", "eq1", "weighted"], ["weighted"],
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_records_equal_predict_for_pair_and_rate_difference(measures, seed, mode):
+    # The comparison reads a pair's rates once; each row must still be the one-row API's.
+    profiles, tree, pairs = random_setup(seed)
+    report = run_comparison(profiles, tree, measures, pairs, mode)
+    assert len(report.records) == len(pairs) * len(measures)
+    for record in report.records:
+        profile = profiles[record.seller]
+        known, unknown = record.known, record.unknown
+        prediction = predict_for_pair(profile, tree, record.measure, known, unknown, mode)
+        assert record.similarity == prediction.similarity
+        assert record.predicted == prediction.predicted_rate
+        assert record.real == profile.aggregate(unknown)
+        assert record.rate_difference == rate_difference(profile, known, unknown)
 
 
 def test_report_csv_layout(small_setup):

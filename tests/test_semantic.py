@@ -447,6 +447,15 @@ def test_static_table_from_a_dict_keys_pairs_as_lookups_do():
         StaticTableProvider({("lap\ttop", "computer"): HitCounts(5, 9, 2, 10)})
 
 
+def test_static_table_from_a_dict_refuses_a_pair_given_twice_with_other_counts():
+    # ("B", "A") keys as ("a", "b") with its counts swapped to (4, 2, 1, 10).
+    conflicting = {("a", "b"): HitCounts(3, 2, 1, 10), ("B", "A"): HitCounts(2, 4, 1, 10)}
+    with pytest.raises(ConfigError, match=r"pair \('a', 'b'\) repeats with other counts, as \(B, A\)"):
+        StaticTableProvider(conflicting)
+    same = StaticTableProvider({("a", "b"): HitCounts(3, 2, 1, 10), ("B", "A"): HitCounts(2, 3, 1, 10)})
+    assert same.counts("b", "a") == HitCounts(2, 3, 1, 10)
+
+
 class CountingProvider(CountProvider):
     def __init__(self, inner: CountProvider):
         self.inner = inner

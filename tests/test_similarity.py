@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from helpers import (
     brute_force_unique_path,
     chain_tree,
     oriented_edges,
+    tree_edge_lists,
     tree_with_pair,
 )
 from contexttrust.errors import (
@@ -16,7 +19,7 @@ from contexttrust.errors import (
     MissingWeightError,
     UnknownNodeError,
 )
-from contexttrust.ontology import parse_tree
+from contexttrust.ontology import OntologyTree, parse_tree, path_between
 from contexttrust.similarity import (
     KeywordContext,
     TREE_MEASURES,
@@ -67,6 +70,43 @@ def test_weighted_missing_weight_names_edge():
     tree = chain_tree([0.9, None])
     with pytest.raises(MissingWeightError, match="'c1', 'c2'"):
         weighted_path_similarity(tree, "c0", "c2")
+
+
+def test_weighted_missing_weights_on_both_sides_name_the_first_in_path_order():
+    # r -> x -> a and r -> y -> b; (r, x) is unweighted on a's side, (y, b) on b's.
+    tree = OntologyTree.from_edges(
+        [("r", "x", None), ("x", "a", 0.5), ("r", "y", 0.5), ("y", "b", None)]
+    )
+    with pytest.raises(MissingWeightError, match=r"^edge \('r', 'x'\) carries no weight$"):
+        weighted_path_similarity(tree, "a", "b")
+    with pytest.raises(MissingWeightError, match=r"^edge \('y', 'b'\) carries no weight$"):
+        weighted_path_similarity(tree, "b", "a")
+
+
+@st.composite
+def tree_pair_that_may_underflow(draw):
+    """(tree, a, b) whose weights are moderate or tiny, so a few tiny ones underflow."""
+    edges = draw(tree_edge_lists(max_nodes=30))
+    weight = st.one_of(st.floats(min_value=0.05, max_value=0.95), st.floats(1e-300, 1e-100))
+    tree = OntologyTree.from_edges([(parent, child, draw(weight)) for parent, child, _ in edges])
+    names = sorted(tree.nodes)
+    return tree, draw(st.sampled_from(names)), draw(st.sampled_from(names))
+
+
+@settings(max_examples=200)
+@given(tree_pair_that_may_underflow())
+def test_weighted_equals_the_product_over_path_between_edges(tree_pair):
+    # The climb multiplies in path_between's edge order, so the floats are equal, not close.
+    tree, a, b = tree_pair
+    edges = path_between(tree, a, b).edges
+    product = left_to_right_product(tree.weights[edge] for edge in edges)
+    assert weighted_path_similarity(tree, a, b) == product
+    if product == 0.0:
+        message = f"path {a!r} -> {b!r} ({len(edges)} edges) underflows"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            weighted_path_similarity(tree, a, b, PathMode.RECIPROCAL)
+    else:
+        assert weighted_path_similarity(tree, a, b, PathMode.RECIPROCAL) == 1.0 / product
 
 
 def test_weighted_unknown_node():
