@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, MissingContextError, RowError, SchemaError
 
@@ -20,8 +20,9 @@ REVIEW_HEADER = ("Context", "Rate", "Date", "Description", "Link")
 RATE_MIN, RATE_MAX = 1, 5  # the rating scale, inclusive
 
 
-@dataclass(frozen=True)
-class Review:
+class Review(NamedTuple):
+    """One review row; a tuple whose fields follow ``REVIEW_HEADER``'s order."""
+
     context: str
     rate: int
     date: str
@@ -101,8 +102,7 @@ def serialize_reviews(reviews: Sequence[Review]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(REVIEW_HEADER)
-    for review in reviews:
-        writer.writerow([review.context, review.rate, review.date, review.description, review.link])
+    writer.writerows(reviews)
     return buffer.getvalue()
 
 

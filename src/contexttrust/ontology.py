@@ -13,6 +13,7 @@ new one, so concurrent reads need no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, KeysView, Optional
 
@@ -61,6 +62,9 @@ def _check_label(name: str, head: bool) -> None:
 
 @dataclass(frozen=True)
 class OntologyTree:
+    """A validated rooted tree.  ``_child_weights`` (each non-root node's edge weight) is
+    derived from ``weights`` on first read; ``replace`` calls ``__init__``, so never carries it."""
+
     root: str
     depths: dict[str, int]  # each node's edge count below the root
     parents: dict[str, str]
@@ -69,6 +73,10 @@ class OntologyTree:
     @property
     def nodes(self) -> KeysView[str]:
         return self.depths.keys()
+
+    @cached_property
+    def _child_weights(self) -> dict[str, Optional[float]]:
+        return {child: self.weights.get((parent, child)) for child, parent in self.parents.items()}
 
     @classmethod
     def from_edges(
@@ -196,12 +204,7 @@ def dump_tree(tree: OntologyTree) -> str:
     """Serialize a tree back to the document format (weights at full precision)."""
     if not tree.weights:
         return tree.root + "\n"
-    lines = []
-    for parent, child, weight in tree.edge_list():
-        if weight is None:
-            lines.append(f"{parent}\t{child}")
-        else:
-            lines.append(f"{parent}\t{child}\t{weight!r}")
+    lines = [f"{p}\t{c}" if w is None else f"{p}\t{c}\t{w!r}" for p, c, w in tree.edge_list()]
     return "\n".join(lines) + "\n"
 
 
@@ -229,8 +232,15 @@ def root_path(tree: OntologyTree, a: str) -> list[str]:
 
 
 def lowest_common_ancestor(tree: OntologyTree, a: str, b: str) -> str:
-    """The deepest node that lies on both root paths."""
-    return _climbs(tree, a, b)[0][-1]
+    """The deepest node on both root paths; eq1 and shared need no climb's node lists."""
+    depths, parents = tree.depths, tree.parents
+    if depths[tree.require(a)] < depths[tree.require(b)]:
+        a, b = b, a
+    for _ in range(depths[a] - depths[b]):
+        a = parents[a]
+    while a != b:
+        a, b = parents[a], parents[b]
+    return a
 
 
 def path_between(tree: OntologyTree, a: str, b: str) -> NodePath:

@@ -74,13 +74,13 @@ def weighted_path_similarity(
     nodes give 1 in both modes, the empty product.
     """
     up_a, up_b = _climbs(tree, a, b)
-    weights = tree.weights
+    weights = tree._child_weights
     product = 1.0
-    # a's edges going up, then b's going down: path_between's order, so the same float product.
-    for edge in chain(zip(up_a[1:], up_a), zip(up_b[:0:-1], up_b[-2::-1])):
-        weight = weights.get(edge)
+    # Edges by child, a's going up then b's going down: path_between's order, same floats.
+    for child in chain(up_a[:-1], reversed(up_b[:-1])):
+        weight = weights[child]
         if weight is None:
-            raise MissingWeightError(f"edge ({edge[0]!r}, {edge[1]!r}) carries no weight")
+            raise MissingWeightError(f"edge ({tree.parents[child]!r}, {child!r}) carries no weight")
         product *= weight
     if mode is PathMode.RECIPROCAL:
         if product == 0.0:

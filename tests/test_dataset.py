@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import DATA_DIR
 from contexttrust.dataset import (
+    REVIEW_HEADER,
     ContextRatings,
     Review,
     build_profiles,
@@ -225,6 +226,18 @@ def test_parse_serialize_round_trip(rows):
     assert [(r.context, r.rate) for r in reparsed] == [(r.context, r.rate) for r in reviews]
     # And a second pass is byte-identical.
     assert serialize_reviews(reparsed) == text
+
+
+def test_review_fields_follow_the_header():
+    # serialize_reviews writes each Review as it is, so its fields are the header's columns.
+    assert Review._fields == tuple(name.lower() for name in REVIEW_HEADER)
+
+
+def test_review_fields_cannot_be_assigned():
+    review = make_reviews("Laptop", [4])[0]
+    with pytest.raises(AttributeError):
+        review.rate = 5
+    assert review.rate == 4
 
 
 def test_round_trip_bundled_file_bytes():

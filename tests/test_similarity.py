@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from contexttrust.errors import (
     MissingWeightError,
     UnknownNodeError,
 )
-from contexttrust.ontology import OntologyTree, parse_tree, path_between
+from contexttrust.ontology import OntologyTree, parse_tree, path_between, weigh_tree
+from contexttrust.semantic import HitCounts, StaticTableProvider
 from contexttrust.similarity import (
     KeywordContext,
     TREE_MEASURES,
@@ -81,6 +83,30 @@ def test_weighted_missing_weights_on_both_sides_name_the_first_in_path_order():
         weighted_path_similarity(tree, "a", "b")
     with pytest.raises(MissingWeightError, match=r"^edge \('y', 'b'\) carries no weight$"):
         weighted_path_similarity(tree, "b", "a")
+
+
+def test_weighted_reads_each_trees_own_weights():
+    # The measure reads weights through a map each tree derives from its own ``weights``;
+    # a tree made by weigh_tree or replace must not see the map of the tree it came from.
+    tree = parse_tree("r\tx\nx\ta\nr\tb\n")
+    with pytest.raises(MissingWeightError, match=r"^edge \('x', 'a'\) carries no weight$"):
+        weighted_path_similarity(tree, "a", "b")
+    table = {("r", "x"): HitCounts(90, 80, 70, 1000), ("x", "a"): HitCounts(60, 50, 20, 1000),
+             ("r", "b"): HitCounts(40, 30, 10, 1000)}
+    weighted, _ = weigh_tree(tree, StaticTableProvider(table))
+    full = weighted_path_similarity(weighted, "a", "b")
+    # Both made after the map of the tree they come from was read.
+    reweighted = replace(tree, weights=dict(weighted.weights))
+    halved = replace(weighted, weights={edge: w / 2 for edge, w in weighted.weights.items()})
+    assert weighted_path_similarity(halved, "a", "b") == full / 8  # three edges, each halved
+    for a, b in [("a", "b"), ("b", "a"), ("a", "x"), ("r", "a")]:
+        for view in (weighted, reweighted, halved):
+            edges = path_between(view, a, b).edges
+            product = left_to_right_product(view.weights[edge] for edge in edges)
+            assert weighted_path_similarity(view, a, b) == product
+        assert weighted_path_similarity(halved, a, b) < weighted_path_similarity(weighted, a, b)
+    with pytest.raises(MissingWeightError, match=r"^edge \('r', 'b'\) carries no weight$"):
+        weighted_path_similarity(tree, "r", "b")
 
 
 @st.composite
