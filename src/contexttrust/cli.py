@@ -71,9 +71,7 @@ def _load_profiles(args: argparse.Namespace) -> dict[str, dataset.TrustProfile]:
         if source in sources:  # read twice, every rating would count twice
             raise DomainError(f"--reviews {spec!r}: this file is already read for {seller!r}")
         sources.add(source)
-        reviews_by_seller.setdefault(seller, []).extend(
-            dataset.load_reviews(path, seller=seller)
-        )
+        reviews_by_seller.setdefault(seller, []).extend(dataset.load_reviews(path, seller=seller))
     profiles = dataset.build_profiles(reviews_by_seller)
     return dataset.filter_profiles(profiles, args.min_contexts, args.min_ratings)
 

@@ -77,7 +77,8 @@ def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list
                 f"{prefix}: row {number}: expected {len(REVIEW_HEADER)} columns, got {len(row)}"
             )
         context, rate_text, date, description, link = row
-        if not context.strip():
+        context = context.strip()
+        if not context:
             raise RowError(f"{prefix}: row {number}: empty context")
         try:
             rate = int(rate_text.strip())
@@ -87,7 +88,7 @@ def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list
             ) from None
         if not RATE_MIN <= rate <= RATE_MAX:
             raise RowError(f"{prefix}: row {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
-        reviews.append(Review(context.strip(), rate, date, description, link))
+        reviews.append(Review(context, rate, date, description, link))
     return reviews
 
 
@@ -133,11 +134,7 @@ def filter_profiles(
         )
     kept: dict[str, TrustProfile] = {}
     for seller, profile in profiles.items():
-        contexts = {
-            context: ratings
-            for context, ratings in profile.contexts.items()
-            if ratings.count >= min_ratings
-        }
+        contexts = {c: r for c, r in profile.contexts.items() if r.count >= min_ratings}
         if len(contexts) >= min_contexts:
             kept[seller] = TrustProfile(seller=seller, contexts=contexts)
     return kept

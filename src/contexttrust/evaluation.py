@@ -26,7 +26,7 @@ from .errors import (
     UnknownSellerError,
 )
 from .ontology import OntologyTree
-from .similarity import TREE_MEASURES, PathMode, tree_similarity
+from .similarity import TREE_MEASURES, PathMode, tree_measure
 from .trust import predict_trust
 # Unused here; bench/tracing.py patches this name. ROADMAP item 1 drops it.
 from .trust import predict_for_pair
@@ -115,6 +115,7 @@ def run_comparison(
     # The summary's inputs, filled as the rows are scored: errors by measure, one diff a pair.
     errors = {measure: array("d") for measure in measures}
     differences = array("d")
+    scorers = [(measure, tree_measure(measure, mode), errors[measure]) for measure in measures]
     records: list[EvaluationRecord] = []
     for seller, known, unknown in pairs:
         try:
@@ -125,12 +126,12 @@ def run_comparison(
             real = profile.aggregate(unknown)
             known_rate = profile.aggregate(known)
             diff = abs(known_rate - real)  # rate_difference's value
-            for measure in measures:
-                similarity = tree_similarity(tree, known, unknown, measure, mode)
+            for measure, score, measure_errors in scorers:
+                similarity = score(tree, known, unknown)
                 predicted = predict_trust(known_rate, similarity)
                 signed = error_percentage(predicted, real)
                 error = abs(signed)
-                errors[measure].append(error)
+                measure_errors.append(error)
                 records.append(EvaluationRecord(
                     seller, known, unknown, measure, similarity,
                     predicted, real, signed, error, diff,

@@ -7,7 +7,8 @@ declares an isolated root and is only legal for a one-node tree.  The root
 is inferred as the unique node that never appears as a child.
 
 Loaded trees are immutable; every operation that "changes" a tree returns a
-new one, so concurrent reads need no coordination.
+new one.  Path queries fill a per-tree memo of root paths whose entries are
+idempotent, so concurrent reads need no coordination: a race computes one twice.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
 from .semantic import DEFAULT_EPSILON, CountProvider, nss
 
 Edge = tuple[str, str]
+RootPath = tuple[tuple[str, ...], tuple[Optional[float], ...]]  # nodes, edge weights; root first
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,10 @@ def _check_label(name: str, head: bool) -> None:
 
 @dataclass(frozen=True)
 class OntologyTree:
-    """A validated rooted tree.  ``_child_weights`` (each non-root node's edge weight) is
-    derived from ``weights`` on first read; ``replace`` calls ``__init__``, so never carries it."""
+    """A validated rooted tree.  ``_root_paths`` memoises each queried node's root path and
+    its edge weights, root first: one O(depth) climb at a node's first query, O(queried nodes
+    x depth) memory in all.  A tree made by ``replace`` (as ``weigh_tree`` returns) starts an
+    empty memo of its own."""
 
     root: str
     depths: dict[str, int]  # each node's edge count below the root
@@ -75,8 +79,8 @@ class OntologyTree:
         return self.depths.keys()
 
     @cached_property
-    def _child_weights(self) -> dict[str, Optional[float]]:
-        return {child: self.weights.get((parent, child)) for child, parent in self.parents.items()}
+    def _root_paths(self) -> dict[str, RootPath]:
+        return {}
 
     @classmethod
     def from_edges(
@@ -91,9 +95,7 @@ class OntologyTree:
         edge_list = list(edges)
         if lone_root is not None:
             if edge_list:
-                raise TreeValidationError(
-                    f"isolated root {lone_root!r} declared alongside edges"
-                )
+                raise TreeValidationError(f"isolated root {lone_root!r} declared alongside edges")
             _check_label(lone_root, head=True)
             return cls(root=lone_root, depths={lone_root: 0}, parents={}, weights={})
         if not edge_list:
@@ -185,9 +187,7 @@ def parse_tree(text: str, source: str = "<string>") -> OntologyTree:
         edges.append((fields[0], fields[1], weight))
 
     if len(lone_roots) > 1:
-        raise TreeValidationError(
-            f"{source}: multiple isolated roots declared: {lone_roots}"
-        )
+        raise TreeValidationError(f"{source}: multiple isolated roots declared: {lone_roots}")
     try:
         return OntologyTree.from_edges(edges, lone_root=lone_roots[0] if lone_roots else None)
     except TreeValidationError as exc:
@@ -208,22 +208,38 @@ def dump_tree(tree: OntologyTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _remember(tree: OntologyTree, node: str) -> RootPath:
+    """Climb node to the root once; memoise its root path and edge weights, root first."""
+    path, parents = [tree.require(node)], tree.parents
+    while path[-1] in parents:
+        path.append(parents[path[-1]])
+    path.reverse()
+    entry = (tuple(path), tuple(map(tree.weights.get, zip(path, path[1:]))))
+    tree._root_paths[node] = entry
+    return entry
+
+
+def _meet(tree: OntologyTree, a: str, b: str) -> tuple[RootPath, RootPath, int]:
+    """a's and b's root paths and edge weights (root first), and their common ancestor's depth."""
+    memo = tree._root_paths
+    entry_a = memo.get(a) or _remember(tree, a)
+    entry_b = memo.get(b) or _remember(tree, b)
+    path_a, path_b = entry_a[0], entry_b[0]
+    # The paths agree from the root down to the ancestor and never again below it.
+    low, high = 0, min(len(path_a), len(path_b))
+    while high - low > 1:
+        middle = (low + high) // 2
+        if path_a[middle] == path_b[middle]:
+            low = middle
+        else:
+            high = middle
+    return entry_a, entry_b, low
+
+
 def _climbs(tree: OntologyTree, a: str, b: str) -> tuple[list[str], list[str]]:
     """Inclusive node sequences from a and from b up to their lowest common ancestor."""
-    depths, parents = tree.depths, tree.parents
-    depth_a, depth_b = depths[tree.require(a)], depths[tree.require(b)]
-    up_a, up_b = [a], [b]
-    for _ in range(depth_a - depth_b):
-        a = parents[a]
-        up_a.append(a)
-    for _ in range(depth_b - depth_a):
-        b = parents[b]
-        up_b.append(b)
-    while a != b:
-        a, b = parents[a], parents[b]
-        up_a.append(a)
-        up_b.append(b)
-    return up_a, up_b
+    (path_a, _), (path_b, _), lca = _meet(tree, a, b)
+    return [*path_a[lca:][::-1]], [*path_b[lca:][::-1]]
 
 
 def root_path(tree: OntologyTree, a: str) -> list[str]:
@@ -232,32 +248,22 @@ def root_path(tree: OntologyTree, a: str) -> list[str]:
 
 
 def lowest_common_ancestor(tree: OntologyTree, a: str, b: str) -> str:
-    """The deepest node on both root paths; eq1 and shared need no climb's node lists."""
-    depths, parents = tree.depths, tree.parents
-    if depths[tree.require(a)] < depths[tree.require(b)]:
-        a, b = b, a
-    for _ in range(depths[a] - depths[b]):
-        a = parents[a]
-    while a != b:
-        a, b = parents[a], parents[b]
-    return a
+    """The deepest node on both root paths."""
+    (path_a, _), _, lca = _meet(tree, a, b)
+    return path_a[lca]
 
 
 def path_between(tree: OntologyTree, a: str, b: str) -> NodePath:
-    """The unique path a -> lowest common ancestor -> b, from one climb of each side."""
-    up_a, up_b = _climbs(tree, a, b)
-    nodes = (*up_a, *reversed(up_b[:-1]))  # a .. lca .. b
-    # Each climb lists a child just before its parent.
-    ascending = zip(up_a[1:], up_a)
-    descending = reversed(list(zip(up_b[1:], up_b)))
-    return NodePath(nodes=nodes, edges=(*ascending, *descending))
+    """The unique path a -> lowest common ancestor -> b, read off the two root paths."""
+    up_a, up_b = _climbs(tree, a, b)  # each lists a child just before its parent
+    edges = (*zip(up_a[1:], up_a), *reversed([*zip(up_b[1:], up_b)]))
+    return NodePath(nodes=(*up_a, *reversed(up_b[:-1])), edges=edges)
 
 
 def intermediate_count(tree: OntologyTree, a: str, b: str) -> int:
     """Number of nodes strictly between a and b on their unique path."""
-    depths = tree.depths
-    lca = lowest_common_ancestor(tree, a, b)
-    return max(0, depths[a] + depths[b] - 2 * depths[lca] - 1)
+    (path_a, _), (path_b, _), lca = _meet(tree, a, b)
+    return max(0, len(path_a) + len(path_b) - 2 * lca - 3)
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,14 @@ context representations (keyword sets, task attribute vectors).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from .errors import ArityError, DomainError, InvalidContextError, MissingWeightError
-from .ontology import OntologyTree, _climbs, intermediate_count, lowest_common_ancestor
-# Unused here; bench/tracing.py patches this name. ROADMAP item 1 drops it.
-from .ontology import path_between
+from .ontology import OntologyTree, _meet, intermediate_count, path_between
 
 
 class PathMode(str, Enum):
@@ -61,10 +60,7 @@ class TaskContext:
 
 
 def weighted_path_similarity(
-    tree: OntologyTree,
-    a: str,
-    b: str,
-    mode: PathMode = PathMode.PRODUCT,
+    tree: OntologyTree, a: str, b: str, mode: PathMode = PathMode.PRODUCT
 ) -> float:
     """Similarity from the edge weights on the unique a-b path.
 
@@ -73,19 +69,18 @@ def weighted_path_similarity(
     that product (a value >= 1) and rejects an underflowed one.  Identical
     nodes give 1 in both modes, the empty product.
     """
-    up_a, up_b = _climbs(tree, a, b)
-    weights = tree._child_weights
-    product = 1.0
-    # Edges by child, a's going up then b's going down: path_between's order, same floats.
-    for child in chain(up_a[:-1], reversed(up_b[:-1])):
-        weight = weights[child]
-        if weight is None:
-            raise MissingWeightError(f"edge ({tree.parents[child]!r}, {child!r}) carries no weight")
-        product *= weight
+    (_, weights_a), (_, weights_b), lca = _meet(tree, a, b)
+    up, down = weights_a[lca:], weights_b[lca:]
+    try:
+        # a's edges going up, then b's going down: path_between's order, so the same floats.
+        product = math.prod(down, start=math.prod(reversed(up), start=1.0))
+    except TypeError:  # a None weight
+        edge = next(e for e in path_between(tree, a, b).edges if tree.weights[e] is None)
+        raise MissingWeightError(f"edge {edge!r} carries no weight") from None
     if mode is PathMode.RECIPROCAL:
         if product == 0.0:
             raise DomainError(
-                f"weight product on the path {a!r} -> {b!r} ({len(up_a) + len(up_b) - 2} edges) "
+                f"weight product on the path {a!r} -> {b!r} ({len(up) + len(down)} edges) "
                 "underflows to 0, so its reciprocal is undefined"
             )
         return 1.0 / product
@@ -102,10 +97,9 @@ def inverse_distance_similarity(tree: OntologyTree, a: str, b: str) -> float:
 
 def shared_path_ratio(tree: OntologyTree, a: str, b: str) -> float:
     """Shared over total nodes of the two inclusive root paths."""
-    # A root path from depth d holds d + 1 nodes; the two share the LCA's.
-    depths = tree.depths
-    shared = depths[lowest_common_ancestor(tree, a, b)] + 1
-    return shared / (depths[a] + depths[b] + 2 - shared)
+    # The two inclusive root paths share the LCA's, one node more than its depth.
+    (path_a, _), (path_b, _), lca = _meet(tree, a, b)
+    return (lca + 1) / (len(path_a) + len(path_b) - lca - 1)
 
 
 def keyword_similarity(ka: KeywordContext, kb: KeywordContext) -> float:
@@ -116,27 +110,31 @@ def keyword_similarity(ka: KeywordContext, kb: KeywordContext) -> float:
 def task_similarity(ta: TaskContext, tb: TaskContext) -> float:
     """One minus the mean absolute difference of paired attributes."""
     if len(ta.attributes) != len(tb.attributes):
-        raise ArityError(
-            f"attribute counts differ: {len(ta.attributes)} vs {len(tb.attributes)}"
-        )
+        raise ArityError(f"attribute counts differ: {len(ta.attributes)} vs {len(tb.attributes)}")
     n = len(ta.attributes)
     return 1.0 - sum(abs(p - q) for p, q in zip(ta.attributes, tb.attributes)) / n
 
 
-def tree_similarity(
-    tree: OntologyTree,
-    a: str,
-    b: str,
-    measure: str,
-    mode: PathMode = PathMode.PRODUCT,
-) -> float:
-    """Dispatch one of the tree-based measures by name."""
+def tree_measure(
+    measure: str, mode: PathMode = PathMode.PRODUCT
+) -> Callable[[OntologyTree, str, str], float]:
+    """The tree-based measure named ``measure``, as a function of (tree, a, b).
+
+    Read from this module's namespace at each call, so a wrapper put there is returned.
+    """
     if measure == "weighted":
-        return weighted_path_similarity(tree, a, b, mode)
+        return partial(weighted_path_similarity, mode=mode)
     if measure == "eq1":
-        return inverse_distance_similarity(tree, a, b)
+        return inverse_distance_similarity
     if measure == "shared":
-        return shared_path_ratio(tree, a, b)
+        return shared_path_ratio
     raise DomainError(
         f"measure {measure!r} does not apply to tree nodes; expected one of {TREE_MEASURES}"
     )
+
+
+def tree_similarity(
+    tree: OntologyTree, a: str, b: str, measure: str, mode: PathMode = PathMode.PRODUCT
+) -> float:
+    """One of the tree-based measures, by name."""
+    return tree_measure(measure, mode)(tree, a, b)

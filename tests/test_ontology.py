@@ -345,6 +345,9 @@ def test_deep_chain_depths_survive_weighing():
     assert lowest_common_ancestor(weighted, "c4999", "c2500") == "c2500"
     assert intermediate_count(weighted, "c0", "c4999") == 4998
     assert len(path_between(weighted, "c4999", "c0").edges) == 4999
+    # Root paths are remembered for the queried nodes only, and weighing remembers none.
+    assert weighted._root_paths.keys() == {"c0", "c2500", "c4999"}
+    assert "_root_paths" not in vars(tree)
 
 
 @given(random_tree(weighted=True))

@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import replace
 
@@ -20,7 +21,17 @@ from contexttrust.errors import (
     MissingWeightError,
     UnknownNodeError,
 )
-from contexttrust.ontology import OntologyTree, parse_tree, path_between, weigh_tree
+from contexttrust import similarity
+from contexttrust.ontology import (
+    OntologyTree,
+    _climbs,
+    intermediate_count,
+    lowest_common_ancestor,
+    parse_tree,
+    path_between,
+    root_path,
+    weigh_tree,
+)
 from contexttrust.semantic import HitCounts, StaticTableProvider
 from contexttrust.similarity import (
     KeywordContext,
@@ -31,6 +42,7 @@ from contexttrust.similarity import (
     keyword_similarity,
     shared_path_ratio,
     task_similarity,
+    tree_measure,
     tree_similarity,
     weighted_path_similarity,
 )
@@ -86,11 +98,12 @@ def test_weighted_missing_weights_on_both_sides_name_the_first_in_path_order():
 
 
 def test_weighted_reads_each_trees_own_weights():
-    # The measure reads weights through a map each tree derives from its own ``weights``;
-    # a tree made by weigh_tree or replace must not see the map of the tree it came from.
+    # The measure reads weights from root paths each tree remembers from its own ``weights``;
+    # a tree made by weigh_tree or replace must not see the memo of the tree it came from.
     tree = parse_tree("r\tx\nx\ta\nr\tb\n")
-    with pytest.raises(MissingWeightError, match=r"^edge \('x', 'a'\) carries no weight$"):
-        weighted_path_similarity(tree, "a", "b")
+    for _ in range(2):  # the second query reads the remembered paths
+        with pytest.raises(MissingWeightError, match=r"^edge \('x', 'a'\) carries no weight$"):
+            weighted_path_similarity(tree, "a", "b")
     table = {("r", "x"): HitCounts(90, 80, 70, 1000), ("x", "a"): HitCounts(60, 50, 20, 1000),
              ("r", "b"): HitCounts(40, 30, 10, 1000)}
     weighted, _ = weigh_tree(tree, StaticTableProvider(table))
@@ -105,8 +118,12 @@ def test_weighted_reads_each_trees_own_weights():
             product = left_to_right_product(view.weights[edge] for edge in edges)
             assert weighted_path_similarity(view, a, b) == product
         assert weighted_path_similarity(halved, a, b) < weighted_path_similarity(weighted, a, b)
+    with pytest.raises(MissingWeightError, match=r"^edge \('x', 'a'\) carries no weight$"):
+        weighted_path_similarity(tree, "a", "b")
     with pytest.raises(MissingWeightError, match=r"^edge \('r', 'b'\) carries no weight$"):
         weighted_path_similarity(tree, "r", "b")
+    assert tree._root_paths.keys() == {"a", "b", "r"}
+    assert weighted._root_paths.keys() == {"a", "b", "x", "r"}
 
 
 @st.composite
@@ -374,3 +391,144 @@ def test_tree_measures_on_a_deep_chain():
     assert weighted_path_similarity(tree, "c1000", "c4000") == left_to_right_product(middle)
     assert inverse_distance_similarity(tree, "c4000", "c1000") == 1 / 2999
     assert shared_path_ratio(tree, "c1000", "c4000") == 1001 / 4001
+
+
+# --- every path query against parent-pointer walks ------------------------------------
+
+def _walk_up(tree, node):
+    """node, its parent, ... the root: one parent lookup a step, nothing remembered."""
+    walk = [node]
+    while walk[-1] in tree.parents:
+        walk.append(tree.parents[walk[-1]])
+    return walk
+
+
+def _oracle_climbs(tree, a, b):
+    up_a, up_b = _walk_up(tree, a), [b]
+    above_a = set(up_a)
+    while up_b[-1] not in above_a:
+        up_b.append(tree.parents[up_b[-1]])
+    return up_a[:up_a.index(up_b[-1]) + 1], up_b
+
+
+def _oracle_edges(tree, a, b):
+    up_a, up_b = _oracle_climbs(tree, a, b)
+    ascending = [(parent, child) for child, parent in zip(up_a, up_a[1:])]
+    descending = [(parent, child) for child, parent in zip(up_b, up_b[1:])][::-1]
+    return ascending + descending
+
+
+def _oracle_weighted(tree, a, b, mode):
+    edges = _oracle_edges(tree, a, b)
+    product = 1.0
+    for edge in edges:
+        if tree.weights[edge] is None:
+            raise MissingWeightError(f"edge {edge!r} carries no weight")
+        product *= tree.weights[edge]
+    if mode is PathMode.PRODUCT:
+        return product
+    if product == 0.0:
+        raise DomainError(
+            f"weight product on the path {a!r} -> {b!r} ({len(edges)} edges) "
+            "underflows to 0, so its reciprocal is undefined"
+        )
+    return 1.0 / product
+
+
+def _oracle_measures(tree, a, b, mode):
+    """Each tree measure's value, or what it raises, by name."""
+    up_a, up_b = _oracle_climbs(tree, a, b)
+    shared = len(_walk_up(tree, up_a[-1]))
+    return {
+        "weighted": _outcome(_oracle_weighted, tree, a, b, mode),
+        "eq1": 1.0 / max(1, len(up_a) + len(up_b) - 3),
+        "shared": shared / (len(_walk_up(tree, a)) + len(_walk_up(tree, b)) - shared),
+    }
+
+
+def _outcome(query, *args):
+    """A query's value, or the type and message of what it raised."""
+    try:
+        return query(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tree_with_query_pairs(draw):
+    """A tree of 1-300 nodes, from bushy to one deep chain, some edges unweighted or tiny.
+
+    The pairs put a node beside itself, beside one of its ancestors, or beside any node.
+    """
+    # Drawn from one seed: hypothesis-drawn sizes and shares would cluster on the small ones.
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = rng.choice([1, 2, 3, 8, 30, 100, 300])
+    chain_share = rng.choice([0.0, 0.5, 0.95, 1.0])
+    unweighted_share = rng.choice([0.0, 0.0, 0.02, 0.2])
+    tiny_share = rng.choice([0.0, 0.1, 0.5])
+    edges = []
+    for i in range(1, n):
+        parent = i - 1 if rng.random() < chain_share else rng.randrange(i)
+        roll = rng.random()
+        if roll < unweighted_share:
+            weight = None
+        elif roll < unweighted_share + tiny_share:
+            weight = rng.uniform(1e-300, 1e-100)
+        else:
+            weight = rng.uniform(0.05, 0.95)
+        edges.append((f"n{parent}", f"n{i}", weight))
+    tree = OntologyTree.from_edges(edges) if edges else OntologyTree.from_edges([], "n0")
+    pairs = []
+    for _ in range(8):
+        a = f"n{rng.randrange(n)}"
+        ancestors = _walk_up(tree, a)[1:] or [a]
+        pairs.append((a, rng.choice([a, rng.choice(ancestors), f"n{rng.randrange(n)}"])))
+    return tree, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_with_query_pairs())
+def test_path_queries_and_measures_match_parent_pointer_walks(tree_pairs):
+    # Several queries on one tree, each pair both ways, so later ones read remembered paths.
+    tree, pairs = tree_pairs
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        up_a, up_b = _oracle_climbs(tree, a, b)
+        assert _climbs(tree, a, b) == (up_a, up_b)
+        assert root_path(tree, a) == _walk_up(tree, a)
+        assert lowest_common_ancestor(tree, a, b) == up_a[-1]
+        assert intermediate_count(tree, a, b) == max(0, len(up_a) + len(up_b) - 3)
+        path = path_between(tree, a, b)
+        assert path.nodes == (*up_a, *up_b[-2::-1])
+        assert path.edges == tuple(_oracle_edges(tree, a, b))
+        for mode in PathMode:
+            expected = _oracle_measures(tree, a, b, mode)
+            assert _outcome(weighted_path_similarity, tree, a, b, mode) == expected["weighted"]
+            for measure in TREE_MEASURES:
+                assert _outcome(tree_similarity, tree, a, b, measure, mode) == expected[measure]
+
+
+# --- tree_measure -----------------------------------------------------------------------
+
+@given(tree_with_pair(weighted=True))
+def test_tree_measure_equals_tree_similarity(tree_pair):
+    tree, a, b = tree_pair
+    for measure in TREE_MEASURES:
+        for mode in PathMode:
+            expected = tree_similarity(tree, a, b, measure, mode)
+            assert tree_measure(measure, mode)(tree, a, b) == expected
+
+
+@pytest.mark.parametrize("measure", ["keyword", "task", "cosine"])
+def test_tree_measure_rejects_other_measures(measure):
+    message = f"measure {measure!r} does not apply to tree nodes; expected one of {TREE_MEASURES}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        tree_measure(measure)
+
+
+def test_tree_measure_reads_the_module_namespace_when_called(monkeypatch):
+    # A wrapper put in the module (as a tracer does) is the function a caller gets.
+    def wrapped(tree, a, b):
+        return 0.5
+    monkeypatch.setattr(similarity, "shared_path_ratio", wrapped)
+    assert tree_measure("shared") is wrapped
+    assert tree_similarity(chain_tree([0.9]), "c0", "c1", "shared") == 0.5
