@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import dataset, evaluation, ontology, semantic, similarity, trust
 from .errors import ContextTrustError, DomainError, SchemaError
@@ -30,7 +31,7 @@ from .similarity import ALL_MEASURES, PathMode, TREE_MEASURES
 _WRITE_CHARS = 1 << 16  # characters encoded and written at a time by _write_atomic
 
 
-def _write_atomic(path: str | Path, text: str) -> None:
+def _write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
     # A unique sibling name: no reader sees a partial file, no other file is clobbered.
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -39,9 +40,10 @@ def _write_atomic(path: str | Path, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes 0600; keep a plain write's mode
-            # In slices, so that no encoded copy of the whole text is made.
-            for start in range(0, len(text), _WRITE_CHARS):
-                handle.write(text[start:start + _WRITE_CHARS])
+            # In slices, so that no encoded copy of a whole chunk is made.
+            for chunk in chunks:
+                for start in range(0, len(chunk), _WRITE_CHARS):
+                    handle.write(chunk[start:start + _WRITE_CHARS])
             handle.flush()
             os.fsync(fd)
         os.replace(tmp, path)
@@ -104,7 +106,7 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
     provider = _build_provider(args)
     weighted, annotations = ontology.weigh_tree(tree, provider, epsilon=args.epsilon)
     document = ontology.dump_tree(weighted)
-    _write_atomic(args.out, document)
+    _write_atomic(args.out, [document])
     for parent, child, weight in weighted.edge_list():
         print(f"{parent}\t{child}\t{weight:.6f}")
     for note in annotations:
@@ -162,7 +164,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluation.run_comparison(
         profiles, tree, measures, _read_pairs(args.pairs), PathMode(args.mode)
     )
-    _write_atomic(args.out, evaluation.report_to_csv(report))
+    _write_atomic(args.out, evaluation.report_blocks(report))  # rendered as it is written
     sys.stdout.write(evaluation.format_summary(report))
     return 0
 
@@ -245,11 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # A command frees what it builds by reference counting; collector passes over its
+    # many live rows would find no cycle to free.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
-    except (ContextTrustError, OSError) as exc:
+    except (ContextTrustError, OSError, UnicodeEncodeError) as exc:
         print(f"contexttrust: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

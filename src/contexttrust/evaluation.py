@@ -15,7 +15,8 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .dataset import RATE_MAX, TrustProfile
 from .errors import (
@@ -55,7 +56,7 @@ class EvaluationRecord(NamedTuple):
 
 REPORT_HEADER = ",".join(EvaluationRecord._fields)
 _ROW = ",".join(["%s"] * 4 + ["%.6f"] * 6) + "\n"
-_BLOCK_ROWS = 4096  # rows rendered and joined at a time by report_to_csv
+_BLOCK_ROWS = 4096  # rows rendered and joined at a time by report_blocks
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,8 @@ def run_comparison(
     errors = {measure: array("d") for measure in measures}
     differences = array("d")
     scorers = [(measure, tree_measure(measure, mode), errors[measure]) for measure in measures]
+    # The C constructor NamedTuple._make uses, not the generated Python __new__.
+    record = partial(tuple.__new__, EvaluationRecord)
     records: list[EvaluationRecord] = []
     for seller, known, unknown in pairs:
         try:
@@ -132,10 +135,10 @@ def run_comparison(
                 signed = error_percentage(predicted, real)
                 error = abs(signed)
                 measure_errors.append(error)
-                records.append(EvaluationRecord(
+                records.append(record((
                     seller, known, unknown, measure, similarity,
                     predicted, real, signed, error, diff,
-                ))
+                )))
             differences.append(diff)
         except ContextTrustError as exc:
             raise type(exc)(f"pair ({seller}, {known}, {unknown}): {exc}") from exc
@@ -155,28 +158,29 @@ def run_comparison(
     )
 
 
-def report_to_csv(report: ComparisonReport) -> str:
-    """Render the report rows as CSV (floats at 6 decimal places).
+def report_blocks(report: ComparisonReport) -> Iterator[str]:
+    """The report's CSV text (floats at 6 decimal places): the header, then blocks of rows.
 
-    Each row is one %-format; if a text field needs quoting, ``csv.writer``
-    writes every row instead.
+    Each row is one %-format; a block whose text fields need quoting is written by
+    ``csv.writer`` instead, which writes the same text for a row that needs none.
     """
-    # Joined a block at a time: one join over all rows would hold every row string at
-    # once, and a StringIO over-allocates as it grows.
+    yield REPORT_HEADER + "\n"
     records = report.records
-    blocks = [REPORT_HEADER + "\n"]
     for start in range(0, len(records), _BLOCK_ROWS):
-        blocks.append("".join(map(_ROW.__mod__, records[start:start + _BLOCK_ROWS])))
-    text = "".join(blocks)
-    lines = len(records) + 1
-    # Numbers render without commas, quotes or line breaks, so any extra one is in a text field.
-    if '"' in text or "\r" in text or text.count(",") != 9 * lines or text.count("\n") != lines:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(EvaluationRecord._fields)
-        writer.writerows([*r[:4], *("%.6f" % v for v in r[4:])] for r in records)
-        text = buffer.getvalue()
-    return text
+        block = records[start:start + _BLOCK_ROWS]
+        text, rows = "".join(map(_ROW.__mod__, block)), len(block)
+        # Numbers render without commas, quotes or line breaks: any extra one is in a text field.
+        if '"' in text or "\r" in text or text.count(",") != 9 * rows or text.count("\n") != rows:
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerows([*r[:4], *("%.6f" % v for v in r[4:])] for r in block)
+            text = buffer.getvalue()
+        yield text
+
+
+def report_to_csv(report: ComparisonReport) -> str:
+    """The whole report_blocks text as one string."""
+    return "".join(report_blocks(report))
 
 
 def format_summary(report: ComparisonReport) -> str:

@@ -1,3 +1,5 @@
+import csv
+import gc
 import json
 import os
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from helpers import DATA_DIR, chain_tree
-from contexttrust import cli, dataset, semantic
+from contexttrust import cli, dataset, evaluation, semantic, similarity
 from contexttrust.cli import main
 from contexttrust.errors import SchemaError
 from contexttrust.ontology import dump_tree, load_tree
@@ -465,7 +467,7 @@ def test_write_atomic_writes_a_multi_slice_text_whole(tmp_path):
     target = tmp_path / "big.csv"
     text = "".join("row %07d,\u00e9t\u00e9\n" % i for i in range(300_000))
     assert len(text) > 4 * cli._WRITE_CHARS and len(text.encode("utf-8")) > 5 << 20
-    cli._write_atomic(target, text)
+    cli._write_atomic(target, [text])
     assert target.read_bytes() == text.encode("utf-8")
     umask = os.umask(0)
     os.umask(umask)
@@ -478,7 +480,7 @@ def test_write_atomic_encoding_failure_past_the_first_slice_keeps_the_old_file(t
     target.write_bytes(b"old\n")
     text = "a" * (3 * cli._WRITE_CHARS + 5) + "\ud800" + "b" * 10
     with pytest.raises(UnicodeEncodeError):
-        cli._write_atomic(target, text)
+        cli._write_atomic(target, [text])
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
@@ -489,12 +491,102 @@ def test_write_atomic_makes_no_whole_copy_of_the_text(tmp_path):
     try:
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        cli._write_atomic(tmp_path / "big.csv", text)
+        cli._write_atomic(tmp_path / "big.csv", [text])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - before < 1 << 20
     assert (tmp_path / "big.csv").stat().st_size == len(text)
+
+
+def test_write_atomic_writes_its_chunks_in_order(tmp_path):
+    target = tmp_path / "chunks.csv"
+    chunks = ["head\n", "", "\u00e9" * (3 * cli._WRITE_CHARS + 17), "x", "tail\n"]
+    cli._write_atomic(target, iter(chunks))
+    assert target.read_bytes() == "".join(chunks).encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["chunks.csv"]
+
+
+def write_pairs(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["seller", "known", "unknown"])
+        writer.writerows(rows)
+
+
+SMITH = 'Smith, "Jr"'
+
+
+def test_eval_report_over_several_blocks_with_a_quoted_seller(capsys, tmp_path):
+    # Two measures, so 2 rows a pair: the seller needs quoting in blocks 1 and 3, not in 2.
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    smith = [(SMITH, "Laptop", "Computers"), (SMITH, "Computers", "Electronics")] * 50
+    plain = [("pageturner", "Books", "Electronics"), ("allgoods", "Laptop", "Books")] * 2000
+    pairs = tmp_path / "pairs.csv"
+    write_pairs(pairs, smith + plain + smith)
+    report_path = tmp_path / "report.csv"
+    argv = eval_args(tree, report_path)
+    techmart = argv.index(f"techmart={EVALFIX / 'techmart.csv'}")
+    argv[techmart] = f"{SMITH}={EVALFIX / 'techmart.csv'}"
+    argv[argv.index("--pairs") + 1] = pairs
+    assert run(capsys, *argv)[0] == 0
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    report = evaluation.run_comparison(
+        cli._load_profiles(args), load_tree(tree), ["weighted", "eq1"], cli._read_pairs(pairs)
+    )
+    assert len(report.records) > 2 * evaluation._BLOCK_ROWS
+    expected = evaluation.report_to_csv(report)
+    assert report_path.read_text(encoding="utf-8") == expected
+    assert expected.count('"Smith, ""Jr""",') == 4 * len(smith)
+
+
+def test_eval_unencodable_name_in_the_second_block_exits_nonzero_and_spares_out(
+    capsys, tmp_path, monkeypatch
+):
+    # A lone surrogate can come from argv; the report's first block is written before it fails.
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    name = "s\ud800"
+    pairs = [("techmart", "Laptop", "Computers")] * (evaluation._BLOCK_ROWS // 2)
+    pairs.append((name, "Laptop", "Computers"))
+    monkeypatch.setattr(cli, "_read_pairs", lambda path: pairs)
+    report_path = tmp_path / "report.csv"
+    report_path.write_bytes(b"old report\n")
+    argv = eval_args(tree, report_path) + ["--reviews", f"{name}={EVALFIX / 'techmart.csv'}"]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert "surrogates not allowed" in stderr
+    assert report_path.read_bytes() == b"old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "weighted.tsv"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["sim", "--measure", "keyword", "a,b", "b,c"], 0),
+    (["sim", "--measure", "weighted", "a", "b"], 1),  # no --tree
+])
+def test_main_leaves_the_collector_as_it_found_it(capsys, enabled, argv, code):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_command_runs_with_the_collector_paused(capsys, monkeypatch):
+    seen = []
+
+    def keyword_similarity(a, b):
+        seen.append(gc.isenabled())
+        return 0.5
+
+    monkeypatch.setattr(similarity, "keyword_similarity", keyword_similarity)
+    assert gc.isenabled()
+    assert run(capsys, "sim", "--measure", "keyword", "a", "b") == (0, "0.500000\n", "")
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 def test_eval_empty_pairs_writes_header_only(capsys, tmp_path):

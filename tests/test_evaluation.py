@@ -26,6 +26,7 @@ from contexttrust.evaluation import (
     format_summary,
     pearson,
     rate_difference,
+    report_blocks,
     report_to_csv,
     run_comparison,
 )
@@ -337,6 +338,15 @@ def test_report_csv_layout(small_setup):
     assert len(lines) == 2
 
 
+def csv_writer_text(records):
+    """The report as csv.writer writes it: every row, the header first."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(EvaluationRecord._fields)
+    writer.writerows([*r[:4], *map("{:.6f}".format, r[4:])] for r in records)
+    return buffer.getvalue()
+
+
 def test_report_csv_quotes_text_like_csv_writer():
     numbers = (0.72, 2.88, 2.5, 7.6, 7.6, 1.0)
     records = (
@@ -345,12 +355,7 @@ def test_report_csv_quotes_text_like_csv_writer():
         EvaluationRecord("s", 'say "hi"', "line\nbreak", "eq1", *numbers),
         EvaluationRecord("s", "carriage\rreturn", "c1", "eq1", *numbers),
     )
-    report = ComparisonReport(records, {}, None)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(EvaluationRecord._fields)
-    writer.writerows([*r[:4], *map("{:.6f}".format, r[4:])] for r in records)
-    assert report_to_csv(report) == buffer.getvalue()
+    assert report_to_csv(ComparisonReport(records, {}, None)) == csv_writer_text(records)
 
 
 def block_records(count, last_text=None):
@@ -375,14 +380,64 @@ def test_report_csv_at_block_edges_equals_one_format_per_row(count, monkeypatch)
 
 def test_report_csv_quoting_in_the_last_block_switches_every_row():
     records = block_records(evaluation._BLOCK_ROWS + 1, ("s", "Books, used", "c1", "eq1"))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(EvaluationRecord._fields)
-    writer.writerows([*r[:4], *map("{:.6f}".format, r[4:])] for r in records)
     text = report_to_csv(ComparisonReport(records, {}, None))
-    assert text == buffer.getvalue()
+    assert text == csv_writer_text(records)
     assert text.endswith('s,"Books, used",c1,eq1,0.720000,2.880000,2.500000,'
                          '7.600000,7.600000,1.000000\n')
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_report_csv_quoting_in_one_early_block_equals_csv_writer_over_every_row(
+    block, monkeypatch
+):
+    # Three blocks; only the first, or only the middle one, needs quoting.
+    written = []
+
+    class CountingWriter:
+        def __init__(self, *args, **kwargs):
+            self.writer = csv_writer(*args, **kwargs)
+
+        def writerows(self, rows):
+            rows = list(rows)
+            written.append(len(rows))
+            self.writer.writerows(rows)
+
+    csv_writer = evaluation.csv.writer
+    monkeypatch.setattr(evaluation.csv, "writer", CountingWriter)
+    records = list(block_records(3 * evaluation._BLOCK_ROWS))
+    numbers = records[0][4:]
+    index = block * evaluation._BLOCK_ROWS + 7
+    records[index] = EvaluationRecord('Smith, "Jr"', "c0", "Books, used", "eq1", *numbers)
+    records = tuple(records)
+    blocks = list(report_blocks(ComparisonReport(records, {}, None)))
+    monkeypatch.undo()
+    assert written == [evaluation._BLOCK_ROWS]  # the other blocks stay one %-format a row
+    assert "".join(blocks) == csv_writer_text(records)
+    assert [len(b.splitlines()) for b in blocks] == [1] + [evaluation._BLOCK_ROWS] * 3
+
+
+@pytest.mark.parametrize("records", [
+    (),
+    block_records(evaluation._BLOCK_ROWS + 1),
+    block_records(2 * evaluation._BLOCK_ROWS + 3, ('Smith, "Jr"', "c0", "c1", "eq1")),
+])
+def test_report_to_csv_joins_the_report_blocks(records):
+    report = ComparisonReport(records, {}, None)
+    blocks = list(report_blocks(report))
+    assert blocks[0] == REPORT_HEADER + "\n"
+    assert report_to_csv(report) == "".join(blocks)
+
+
+def test_run_comparison_records_are_evaluation_records_of_ten_fields(small_setup):
+    # The records are built by tuple.__new__, which checks no arity.
+    profiles, tree = small_setup
+    pairs = [("s", "c0", "c2"), ("s", "c1", "c0"), ("s", "c2", "c2")]
+    report = run_comparison(profiles, tree, ["weighted", "eq1", "shared"], pairs)
+    assert len(report.records) == 9
+    for record in report.records:
+        assert type(record) is EvaluationRecord
+        assert len(record) == len(EvaluationRecord._fields) == 10
+        assert record.rate_difference == record[9]
 
 
 def test_summary_lists_measures(small_setup):
