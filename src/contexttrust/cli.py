@@ -128,7 +128,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         if args.tree is None:
             raise DomainError(f"--tree is required for measure {args.measure!r}")
         tree = ontology.load_tree(args.tree)
-        value = similarity.tree_similarity(tree, args.a, args.b, args.measure, mode)
+        value = similarity.tree_measure(args.measure, mode)(tree, args.a, args.b)
     elif args.measure == "keyword":
         value = similarity.keyword_similarity(
             similarity.KeywordContext(args.a.split(",")),

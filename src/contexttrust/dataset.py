@@ -98,15 +98,6 @@ def load_reviews(path: str | Path, seller: str = "") -> list[Review]:
     return parse_reviews(path.read_text(encoding="utf-8-sig"), seller=seller, source=str(path))
 
 
-def serialize_reviews(reviews: Sequence[Review]) -> str:
-    """Write reviews back to CSV text (header included)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REVIEW_HEADER)
-    writer.writerows(reviews)
-    return buffer.getvalue()
-
-
 def build_profiles(reviews_by_seller: Mapping[str, Sequence[Review]]) -> dict[str, TrustProfile]:
     """Group reviews by seller then context; the aggregate is the mean rate."""
     profiles: dict[str, TrustProfile] = {}

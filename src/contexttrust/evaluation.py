@@ -73,11 +73,6 @@ def error_percentage(predicted: float, real_rate: float) -> float:
     return (predicted - real_rate) / RATE_MAX * 100.0
 
 
-def rate_difference(profile: TrustProfile, c1: str, c2: str) -> float:
-    """Absolute difference between a seller's real aggregates in two contexts."""
-    return abs(profile.aggregate(c1) - profile.aggregate(c2))
-
-
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient.
 
@@ -128,7 +123,7 @@ def run_comparison(
             # Each rate read once; unknown first, so a missing unknown context is reported first.
             real = profile.aggregate(unknown)
             known_rate = profile.aggregate(known)
-            diff = abs(known_rate - real)  # rate_difference's value
+            diff = abs(known_rate - real)  # the rate_difference column
             for measure, score, measure_errors in scorers:
                 similarity = score(tree, known, unknown)
                 predicted = predict_trust(known_rate, similarity)

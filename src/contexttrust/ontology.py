@@ -236,26 +236,10 @@ def _meet(tree: OntologyTree, a: str, b: str) -> tuple[RootPath, RootPath, int]:
     return entry_a, entry_b, low
 
 
-def _climbs(tree: OntologyTree, a: str, b: str) -> tuple[list[str], list[str]]:
-    """Inclusive node sequences from a and from b up to their lowest common ancestor."""
-    (path_a, _), (path_b, _), lca = _meet(tree, a, b)
-    return [*path_a[lca:][::-1]], [*path_b[lca:][::-1]]
-
-
-def root_path(tree: OntologyTree, a: str) -> list[str]:
-    """Inclusive node sequence from a up to the root."""
-    return _climbs(tree, a, tree.root)[0]
-
-
-def lowest_common_ancestor(tree: OntologyTree, a: str, b: str) -> str:
-    """The deepest node on both root paths."""
-    (path_a, _), _, lca = _meet(tree, a, b)
-    return path_a[lca]
-
-
 def path_between(tree: OntologyTree, a: str, b: str) -> NodePath:
     """The unique path a -> lowest common ancestor -> b, read off the two root paths."""
-    up_a, up_b = _climbs(tree, a, b)  # each lists a child just before its parent
+    (path_a, _), (path_b, _), lca = _meet(tree, a, b)
+    up_a, up_b = path_a[lca:][::-1], path_b[lca:][::-1]  # each lists a child before its parent
     edges = (*zip(up_a[1:], up_a), *reversed([*zip(up_b[1:], up_b)]))
     return NodePath(nodes=(*up_a, *reversed(up_b[:-1])), edges=edges)
 

@@ -9,6 +9,7 @@ weight in products.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -100,7 +101,7 @@ def ngd(counts: HitCounts) -> float:
 def nss(counts: HitCounts, epsilon: float = DEFAULT_EPSILON) -> float:
     """Similarity score: one minus the co-occurrence distance, clamped to [epsilon, 1]."""
     if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
     if counts.fxy == 0:
         return epsilon  # an unseen term too, since fxy <= min(fx, fy)
     return min(1.0, max(epsilon, 1.0 - ngd(counts)))
@@ -167,18 +168,19 @@ class PairCache:
     terms lowercased and lexicographically ordered.  Every ``put`` appends one
     whole line, so a last line without its newline was cut off by a run that
     died mid-write: it is dropped with a warning, and the next ``put`` cuts
-    it from the file before appending.
+    it from the file before appending.  Each put holds an exclusive ``flock``,
+    so runs sharing a file keep each other's lines.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple[str, str], HitCounts] = {}
-        self._torn_at: Optional[int] = None
+        self._torn: Optional[tuple[int, bytes]] = None  # a torn last line's offset and bytes
         if self.path.exists():
             data = self.path.read_bytes()
             end = data.rfind(b"\n") + 1
             if end < len(data):
-                self._torn_at = end
+                self._torn = (end, data[end:])
                 warnings.warn(
                     f"{self.path}: dropped a torn last line without a newline: {data[end:]!r}",
                     stacklevel=2,
@@ -191,19 +193,24 @@ class PairCache:
     def put(self, x: str, y: str, counts: HitCounts) -> None:
         (term_a, term_b), stored = _oriented(x, y, counts)
         self._entries[(term_a, term_b)] = stored
-        if self._torn_at is not None:
-            os.truncate(self.path, self._torn_at)
-            self._torn_at = None
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(f"{term_a}\t{term_b}\t{stored.fx}\t{stored.fy}\t{stored.fxy}\t{stored.m}\n")
-
-
-def read_counts_table(path: str | Path) -> dict[tuple[str, str], HitCounts]:
-    """Read a pair-counts TSV (cache file and static table share the format)."""
-    return _parse_counts_table(Path(path).read_text(encoding="utf-8-sig"), path)
+        line = f"{term_a}\t{term_b}\t{stored.fx}\t{stored.fy}\t{stored.fxy}\t{stored.m}\n"
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd is closed
+            if self._torn is not None:
+                # Cut the fragment only if it still ends the file (a byte more is read to tell):
+                # another run may have cut it and appended since.
+                at, fragment = self._torn
+                if os.pread(fd, len(fragment) + 1, at) == fragment:
+                    os.ftruncate(fd, at)
+                self._torn = None
+            os.write(fd, line.encode("utf-8"))
+        finally:
+            os.close(fd)
 
 
 def _parse_counts_table(text: str, path: str | Path) -> dict[tuple[str, str], HitCounts]:
+    """Read a pair-counts TSV's text (cache file and static table share the format)."""
     table: dict[tuple[str, str], HitCounts] = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -243,7 +250,7 @@ class StaticTableProvider(CountProvider):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StaticTableProvider":
-        return cls(read_counts_table(path))
+        return cls(_parse_counts_table(Path(path).read_text(encoding="utf-8-sig"), path))
 
     def counts(self, x: str, y: str) -> HitCounts:
         counts = _lookup(self._table, x, y)

@@ -131,10 +131,3 @@ def tree_measure(
     raise DomainError(
         f"measure {measure!r} does not apply to tree nodes; expected one of {TREE_MEASURES}"
     )
-
-
-def tree_similarity(
-    tree: OntologyTree, a: str, b: str, measure: str, mode: PathMode = PathMode.PRODUCT
-) -> float:
-    """One of the tree-based measures, by name."""
-    return tree_measure(measure, mode)(tree, a, b)

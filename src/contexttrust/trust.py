@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .dataset import RATE_MAX, RATE_MIN, TrustProfile
 from .errors import DomainError
 from .ontology import OntologyTree
-from .similarity import PathMode, tree_similarity
+from .similarity import PathMode, tree_measure
 
 
 @dataclass(frozen=True)
@@ -43,5 +43,5 @@ def predict_for_pair(
 ) -> TrustPrediction:
     """Compose a tree measure with the multiplication rule for one context pair."""
     known_rate = profile.aggregate(known)
-    similarity = tree_similarity(tree, known, unknown, measure, mode)
+    similarity = tree_measure(measure, mode)(tree, known, unknown)
     return TrustPrediction(similarity, known_rate, predict_trust(known_rate, similarity))

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from pathlib import Path
 from typing import Optional
 
 from hypothesis import strategies as st
 
+from contexttrust.dataset import REVIEW_HEADER
 from contexttrust.ontology import OntologyTree
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def reviews_to_csv(reviews) -> str:
+    """Review CSV text, header first, each Review written as its tuple of fields."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(REVIEW_HEADER)
+    writer.writerows(reviews)
+    return buffer.getvalue()
 
 
 def chain_tree(weights: list[Optional[float]]) -> OntologyTree:

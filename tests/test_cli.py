@@ -222,6 +222,16 @@ def test_sim_inverse_distance(capsys, tmp_path):
     assert stdout.strip() == "0.333333"
 
 
+def test_sim_shared_path_ratio(capsys, tmp_path):
+    # Root paths c-b-a and d-a share one node of four.
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("a\tb\nb\tc\na\td\n", encoding="utf-8")
+    code, stdout, _ = run(capsys, "sim", "--tree", tree, "--measure", "shared", "c", "d")
+    assert code == 0
+    value = similarity.tree_measure("shared")(load_tree(tree), "c", "d")
+    assert stdout == f"{value:.6f}\n" == "0.250000\n"
+
+
 def test_sim_identity(capsys, tmp_path):
     tree = tmp_path / "tree.tsv"
     tree.write_text("a\tb\t0.9\n", encoding="utf-8")
@@ -304,6 +314,22 @@ def test_predict_across_contexts(capsys, tmp_path):
     )
     assert code == 0
     assert stdout.splitlines()[-1] == "4.050000"
+
+
+@pytest.mark.parametrize("measure, golden", [("eq1", "2.500000"), ("shared", "2.000000")],
+                         ids=["eq1", "shared"])
+def test_predict_eq1_and_shared(capsys, tmp_path, measure, golden):
+    # Laptop (rated 5) lies two nodes below Electronics: eq1 0.5, shared 2 of 5 nodes.
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    code, stdout, _ = run(
+        capsys, "predict", "--tree", tree, "--measure", measure,
+        "--reviews", f"techmart={EVALFIX / 'techmart.csv'}",
+        "techmart", "Laptop", "Electronics",
+    )
+    assert code == 0
+    value = similarity.tree_measure(measure)(load_tree(tree), "Laptop", "Electronics")
+    known = dataset.build_profiles({"s": dataset.load_reviews(EVALFIX / "techmart.csv")})["s"]
+    assert stdout == f"{min(5.0, known.aggregate('Laptop') * value):.6f}\n" == golden + "\n"
 
 
 def test_predict_seller_from_file_stem(capsys, tmp_path):

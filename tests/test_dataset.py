@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import DATA_DIR
+from helpers import DATA_DIR, reviews_to_csv
 from contexttrust.dataset import (
     REVIEW_HEADER,
     ContextRatings,
@@ -11,7 +11,6 @@ from contexttrust.dataset import (
     filter_profiles,
     load_reviews,
     parse_reviews,
-    serialize_reviews,
 )
 from contexttrust.errors import DomainError, MissingContextError, RowError, SchemaError
 
@@ -221,15 +220,15 @@ contexts = st.text(alphabet="ABCabc xyz", min_size=1, max_size=12).filter(
 )
 def test_parse_serialize_round_trip(rows):
     reviews = [Review(c, r, d, t, l) for c, r, d, t, l in rows]
-    text = serialize_reviews(reviews)
+    text = reviews_to_csv(reviews)
     reparsed = parse_reviews(text)
     assert [(r.context, r.rate) for r in reparsed] == [(r.context, r.rate) for r in reviews]
     # And a second pass is byte-identical.
-    assert serialize_reviews(reparsed) == text
+    assert reviews_to_csv(reparsed) == text
 
 
 def test_review_fields_follow_the_header():
-    # serialize_reviews writes each Review as it is, so its fields are the header's columns.
+    # A Review is a row of the header's columns, in order, as reviews_to_csv writes it.
     assert Review._fields == tuple(name.lower() for name in REVIEW_HEADER)
 
 
@@ -242,6 +241,6 @@ def test_review_fields_cannot_be_assigned():
 
 def test_round_trip_bundled_file_bytes():
     reviews = load_reviews(DATA_DIR / "laptop_reviews.csv")
-    text = serialize_reviews(reviews)
+    text = reviews_to_csv(reviews)
     assert parse_reviews(text) == reviews
     assert (DATA_DIR / "laptop_reviews.csv").read_text(encoding="utf-8") == text

@@ -25,7 +25,6 @@ from contexttrust.evaluation import (
     error_percentage,
     format_summary,
     pearson,
-    rate_difference,
     report_blocks,
     report_to_csv,
     run_comparison,
@@ -71,18 +70,20 @@ def test_error_percentage_range(predicted, real):
 # --- rate difference -------------------------------------------------------------
 
 def test_rate_difference_values():
-    # Aggregates 4.5 and 2.9.
+    # Aggregates 4.5 and 2.9; the column holds each pair's difference, either way round.
     profiles = profiles_from({"s": {"a": (4, 5), "b": (4, 5, 1, 3, 1, 5, 1, 1, 4, 4)}})
-    profile = profiles["s"]
-    assert rate_difference(profile, "a", "b") == pytest.approx(1.6)
-    assert rate_difference(profile, "b", "a") == pytest.approx(1.6)
-    assert rate_difference(profile, "a", "a") == 0.0
+    tree = OntologyTree.from_edges([("a", "b", 0.5)])
+    pairs = [("s", "a", "b"), ("s", "b", "a"), ("s", "a", "a")]
+    report = run_comparison(profiles, tree, ["eq1"], pairs)
+    differences = [record.rate_difference for record in report.records]
+    assert differences == [pytest.approx(1.6), pytest.approx(1.6), 0.0]
 
 
 def test_rate_difference_missing_context():
-    profile = profiles_from({"s": {"a": (4,)}})["s"]
+    profiles = profiles_from({"s": {"a": (4,)}})
+    tree = OntologyTree.from_edges([("a", "zzz", 0.5)])
     with pytest.raises(MissingContextError):
-        rate_difference(profile, "a", "zzz")
+        run_comparison(profiles, tree, ["eq1"], [("s", "a", "zzz")])
 
 
 # --- pearson ----------------------------------------------------------------------
@@ -325,7 +326,7 @@ def test_records_equal_predict_for_pair_and_rate_difference(measures, seed, mode
         assert record.similarity == prediction.similarity
         assert record.predicted == prediction.predicted_rate
         assert record.real == profile.aggregate(unknown)
-        assert record.rate_difference == rate_difference(profile, known, unknown)
+        assert record.rate_difference == abs(profile.aggregate(known) - profile.aggregate(unknown))
 
 
 def test_report_csv_layout(small_setup):

@@ -22,10 +22,8 @@ from contexttrust.ontology import (
     dump_tree,
     intermediate_count,
     load_tree,
-    lowest_common_ancestor,
     parse_tree,
     path_between,
-    root_path,
     weigh_tree,
 )
 from contexttrust.semantic import CountProvider, HitCounts
@@ -282,11 +280,12 @@ def test_intermediate_counts(cs_tree):
 
 
 def test_root_path_goldens(cs_tree):
-    assert root_path(cs_tree, "Java") == [
+    # A path to the root is the node's root path, node first.
+    assert path_between(cs_tree, "Java", cs_tree.root).nodes == (
         "Java", "ObjectOriented", "ProgrammingLanguage", "Software", "ComputerScience"
-    ]
-    assert root_path(cs_tree, "ComputerScience") == ["ComputerScience"]
-    assert len(root_path(cs_tree, "VHDL")) == 3
+    )
+    assert path_between(cs_tree, "ComputerScience", cs_tree.root).nodes == ("ComputerScience",)
+    assert len(path_between(cs_tree, "VHDL", cs_tree.root).nodes) == 3
 
 
 @given(tree_with_pair())
@@ -313,26 +312,26 @@ def test_lca_and_depths_match_brute_force(tree_pair):
     tree, a, b = tree_pair
     assert tree.depths == {n: len(brute_force_root_set(tree, n)) - 1 for n in tree.nodes}
     common = brute_force_root_set(tree, a) & brute_force_root_set(tree, b)
-    lca = lowest_common_ancestor(tree, a, b)
+    lca = min(path_between(tree, a, b).nodes, key=tree.depths.get)  # the path's top node
     assert lca in common
     assert tree.depths[lca] == len(common) - 1
     for node in tree.nodes:
-        assert root_path(tree, node) == brute_force_root_walk(tree, node)
+        assert list(path_between(tree, node, tree.root).nodes) == brute_force_root_walk(tree, node)
     # Read from the root down, the two root paths agree down to the LCA, then part for good.
-    down_a, down_b = root_path(tree, a)[::-1], root_path(tree, b)[::-1]
+    down_a, down_b = brute_force_root_walk(tree, a)[::-1], brute_force_root_walk(tree, b)[::-1]
     assert lca == [u for u, v in zip(down_a, down_b) if u == v][-1]
 
 
 @given(tree_with_pair())
 def test_path_queries_reject_unknown_nodes(tree_pair):
     tree, a, _ = tree_pair
-    for query in (path_between, intermediate_count, lowest_common_ancestor):
+    for query in (path_between, intermediate_count):
         with pytest.raises(UnknownNodeError, match="'ghost'"):
             query(tree, "ghost", a)
         with pytest.raises(UnknownNodeError, match="'ghost'"):
             query(tree, a, "ghost")
     with pytest.raises(UnknownNodeError, match="'ghost'"):
-        root_path(tree, "ghost")
+        path_between(tree, "ghost", tree.root)
 
 
 def test_deep_chain_depths_survive_weighing():
@@ -342,7 +341,10 @@ def test_deep_chain_depths_survive_weighing():
     assert tree.depths == expected
     weighted, _ = weigh_tree(tree, FixedCountsProvider(HitCounts(10, 1, 1, 10**10)))
     assert weighted.depths == expected
-    assert lowest_common_ancestor(weighted, "c4999", "c2500") == "c2500"
+    # c2500 is c4999's ancestor, so the path only climbs.
+    assert path_between(weighted, "c4999", "c2500").nodes == tuple(
+        f"c{i}" for i in range(4999, 2499, -1)
+    )
     assert intermediate_count(weighted, "c0", "c4999") == 4998
     assert len(path_between(weighted, "c4999", "c0").edges) == 4999
     # Root paths are remembered for the queried nodes only, and weighing remembers none.

@@ -3,7 +3,10 @@ import http.server
 import itertools
 import json
 import math
+import os
+import select
 import shutil
+import subprocess
 import sys
 import tempfile
 import threading
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import contexttrust
 from helpers import DATA_DIR, valid_hit_counts
 from contexttrust.errors import (
     ConfigError,
@@ -41,7 +45,6 @@ from contexttrust.semantic import (
     make_provider,
     ngd,
     nss,
-    read_counts_table,
 )
 
 
@@ -132,8 +135,10 @@ def test_nss_clamps_distance_past_one():
 
 
 def test_nss_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        nss(HitCounts(7, 7, 7, 1000), epsilon=0.0)
+    # The same rule, and the same error, as weigh_tree's.
+    for epsilon in (0.0, -0.5, 1.5):
+        with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1\]"):
+            nss(HitCounts(7, 7, 7, 1000), epsilon=epsilon)
 
 
 @given(valid_hit_counts())
@@ -386,13 +391,13 @@ def test_counts_table_rejects_bad_rows(tmp_path):
     table = tmp_path / "t.tsv"
     table.write_text("a\tb\t1\t1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="line 1"):
-        read_counts_table(table)
+        StaticTableProvider.from_file(table)
     table.write_text("a\tb\tx\t1\t1\t10\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="integers"):
-        read_counts_table(table)
+        StaticTableProvider.from_file(table)
     table.write_text("a\tb\t5\t5\t9\t10\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="line 1"):
-        read_counts_table(table)
+        StaticTableProvider.from_file(table)
 
 
 def test_static_table_may_lack_final_newline(tmp_path):
@@ -528,6 +533,97 @@ def test_cache_put_after_torn_line_starts_a_fresh_line(tmp_path, tail):
     assert reloaded.get("e", "f") == HitCounts(1, 1, 1, 10)
 
 
+def test_cache_single_run_warns_once_and_cuts_its_torn_line_once(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\nc\td\t1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = PairCache(path)
+        for term in "efg":
+            cache.put(term, "z", HitCounts(1, 1, 1, 10))
+    assert [str(w.message) for w in caught] == [
+        f"{path}: dropped a torn last line without a newline: b'c\\td\\t1'"
+    ]
+    assert path.read_text(encoding="utf-8") == (
+        "a\tb\t3\t2\t1\t10\ne\tz\t1\t1\t1\t10\nf\tz\t1\t1\t1\t10\ng\tz\t1\t1\t1\t10\n"
+    )
+
+
+def test_cache_two_runs_on_one_torn_file_keep_every_line(tmp_path):
+    # Both runs load the torn file; the second one's first put must not cut the first's lines.
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\nc\td\t1")
+    with pytest.warns(UserWarning):
+        first, second = PairCache(path), PairCache(path)
+    for term in "efg":
+        first.put(term, "z", HitCounts(1, 1, 1, 10))
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 4
+    second.put("h", "z", HitCounts(1, 1, 1, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reloaded = PairCache(path)
+    assert path.read_text(encoding="utf-8").count("\n") == 5
+    for x, y in (("a", "b"), ("e", "z"), ("f", "z"), ("g", "z"), ("h", "z")):
+        assert reloaded.get(x, y) is not None
+
+
+# Loads the cache named by argv[1], then puts 200 pairs named after argv[2], waiting for a
+# line on stdin before the 1st and the 101st put and printing "half" after the 100th.
+CACHE_CHILD = """
+import sys, warnings
+from contexttrust.semantic import HitCounts, PairCache
+warnings.simplefilter("ignore")
+cache = PairCache(sys.argv[1])
+print("loaded", flush=True)
+for i in range(200):
+    if i % 100 == 0:
+        sys.stdin.readline()
+    cache.put(f"{sys.argv[2]}{i}", "x", HitCounts(1, 1, 1, 10))
+    if i == 99:
+        print("half", flush=True)
+"""
+
+
+def _line_from(child) -> str:
+    assert select.select([child.stdout], [], [], 60)[0], "no line from the child in 60 s"
+    return child.stdout.readline()
+
+
+def test_cache_two_processes_on_one_torn_file_keep_every_line(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\nc\td\t1")
+    env = dict(os.environ, PYTHONPATH=str(Path(contexttrust.__file__).parents[1]))
+    children = [
+        subprocess.Popen([sys.executable, "-c", CACHE_CHILD, str(path), name], env=env,
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for name in ("p", "q")
+    ]
+    try:
+        for child in children:  # both hold the torn fragment before either puts
+            assert _line_from(child) == "loaded\n"
+        for child in children:  # p puts 100, then q's first put meets p's lines
+            child.stdin.write("go\n")
+            child.stdin.flush()
+            assert _line_from(child) == "half\n"
+        for child in children:  # then both put their last 100 at once
+            child.stdin.write("go\n")
+            child.stdin.flush()
+        for child in children:
+            child.communicate(timeout=60)
+            assert child.returncode == 0
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+            child.stdin.close()
+            child.stdout.close()
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""  # the file ends with a whole line
+    expected = {f"{name}{i}\tx\t1\t1\t1\t10" for name in "pq" for i in range(200)}
+    assert lines[0] == "a\tb\t3\t2\t1\t10"
+    assert len(lines) == 401 and set(lines[1:]) == expected
+
+
 def test_counts_table_blank_term_is_an_error(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("a\t\t3\t2\t1\t10\n", encoding="utf-8")
@@ -549,7 +645,7 @@ def test_counts_table_hash_term_is_an_error(tmp_path):
     path = tmp_path / "counts.tsv"
     path.write_text("a\t#b\t3\t2\t1\t10\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="line 1: term '#b' starts with '#'"):
-        read_counts_table(path)
+        StaticTableProvider.from_file(path)
 
 
 def test_cache_malformed_line_before_the_last_is_an_error(tmp_path):

@@ -21,15 +21,13 @@ from contexttrust.errors import (
     MissingWeightError,
     UnknownNodeError,
 )
-from contexttrust import similarity
+from contexttrust import similarity, trust
+from contexttrust.dataset import Review, build_profiles
 from contexttrust.ontology import (
     OntologyTree,
-    _climbs,
     intermediate_count,
-    lowest_common_ancestor,
     parse_tree,
     path_between,
-    root_path,
     weigh_tree,
 )
 from contexttrust.semantic import HitCounts, StaticTableProvider
@@ -43,7 +41,6 @@ from contexttrust.similarity import (
     shared_path_ratio,
     task_similarity,
     tree_measure,
-    tree_similarity,
     weighted_path_similarity,
 )
 
@@ -250,9 +247,9 @@ def test_task_rejects_out_of_range_attribute():
 # --- dispatch ---------------------------------------------------------------------
 
 def test_tree_similarity_dispatch(cs_tree):
-    assert tree_similarity(cs_tree, "VHDL", "Java", "eq1") == pytest.approx(0.2)
+    assert tree_measure("eq1")(cs_tree, "VHDL", "Java") == pytest.approx(0.2)
     with pytest.raises(DomainError, match="keyword"):
-        tree_similarity(cs_tree, "VHDL", "Java", "keyword")
+        tree_measure("keyword")
 
 
 # --- properties -------------------------------------------------------------------
@@ -261,9 +258,7 @@ def test_tree_similarity_dispatch(cs_tree):
 def test_tree_measures_are_symmetric(tree_pair):
     tree, a, b = tree_pair
     for measure in ("weighted", "eq1", "shared"):
-        assert tree_similarity(tree, a, b, measure) == pytest.approx(
-            tree_similarity(tree, b, a, measure)
-        )
+        assert tree_measure(measure)(tree, a, b) == pytest.approx(tree_measure(measure)(tree, b, a))
     forward = weighted_path_similarity(tree, a, b, PathMode.RECIPROCAL)
     backward = weighted_path_similarity(tree, b, a, PathMode.RECIPROCAL)
     assert forward == pytest.approx(backward)
@@ -273,7 +268,7 @@ def test_tree_measures_are_symmetric(tree_pair):
 def test_tree_measures_self_similarity_is_one(tree_pair):
     tree, a, _ = tree_pair
     for measure in ("weighted", "eq1", "shared"):
-        assert tree_similarity(tree, a, a, measure) == 1.0
+        assert tree_measure(measure)(tree, a, a) == 1.0
     assert weighted_path_similarity(tree, a, a, PathMode.RECIPROCAL) == 1.0
 
 
@@ -365,9 +360,9 @@ def test_tree_measures_reject_unknown_nodes(tree_pair):
     tree, a, _ = tree_pair
     for measure in TREE_MEASURES:
         with pytest.raises(UnknownNodeError, match="'ghost'"):
-            tree_similarity(tree, "ghost", a, measure)
+            tree_measure(measure)(tree, "ghost", a)
         with pytest.raises(UnknownNodeError, match="'ghost'"):
-            tree_similarity(tree, a, "ghost", measure)
+            tree_measure(measure)(tree, a, "ghost")
 
 
 def left_to_right_product(weights):
@@ -493,9 +488,7 @@ def test_path_queries_and_measures_match_parent_pointer_walks(tree_pairs):
     tree, pairs = tree_pairs
     for a, b in pairs + [(b, a) for a, b in pairs]:
         up_a, up_b = _oracle_climbs(tree, a, b)
-        assert _climbs(tree, a, b) == (up_a, up_b)
-        assert root_path(tree, a) == _walk_up(tree, a)
-        assert lowest_common_ancestor(tree, a, b) == up_a[-1]
+        assert path_between(tree, a, tree.root).nodes == tuple(_walk_up(tree, a))
         assert intermediate_count(tree, a, b) == max(0, len(up_a) + len(up_b) - 3)
         path = path_between(tree, a, b)
         assert path.nodes == (*up_a, *up_b[-2::-1])
@@ -504,19 +497,10 @@ def test_path_queries_and_measures_match_parent_pointer_walks(tree_pairs):
             expected = _oracle_measures(tree, a, b, mode)
             assert _outcome(weighted_path_similarity, tree, a, b, mode) == expected["weighted"]
             for measure in TREE_MEASURES:
-                assert _outcome(tree_similarity, tree, a, b, measure, mode) == expected[measure]
+                assert _outcome(tree_measure(measure, mode), tree, a, b) == expected[measure]
 
 
 # --- tree_measure -----------------------------------------------------------------------
-
-@given(tree_with_pair(weighted=True))
-def test_tree_measure_equals_tree_similarity(tree_pair):
-    tree, a, b = tree_pair
-    for measure in TREE_MEASURES:
-        for mode in PathMode:
-            expected = tree_similarity(tree, a, b, measure, mode)
-            assert tree_measure(measure, mode)(tree, a, b) == expected
-
 
 @pytest.mark.parametrize("measure", ["keyword", "task", "cosine"])
 def test_tree_measure_rejects_other_measures(measure):
@@ -531,4 +515,7 @@ def test_tree_measure_reads_the_module_namespace_when_called(monkeypatch):
         return 0.5
     monkeypatch.setattr(similarity, "shared_path_ratio", wrapped)
     assert tree_measure("shared") is wrapped
-    assert tree_similarity(chain_tree([0.9]), "c0", "c1", "shared") == 0.5
+    # predict_for_pair takes its measure through tree_measure, so it meets the wrapper too.
+    profile = build_profiles({"s": [Review("c0", 4, "d", "t", "l")]})["s"]
+    prediction = trust.predict_for_pair(profile, chain_tree([0.9]), "shared", "c0", "c1")
+    assert prediction.similarity == 0.5
