@@ -145,10 +145,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     profile = _load_profiles(args).get(args.seller)
     if profile is None:
         raise DomainError(f"no eligible profile for seller {args.seller!r} after filtering")
-    prediction = trust.predict_for_pair(
+    rate = trust.predict_for_pair(
         profile, tree, args.measure, args.known, args.unknown, PathMode(args.mode)
     )
-    print(f"{prediction.predicted_rate:.6f}")
+    print(f"{rate:.6f}")
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, KeysView, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     ContextTrustError,
@@ -70,13 +70,12 @@ class OntologyTree:
     empty memo of its own."""
 
     root: str
-    depths: dict[str, int]  # each node's edge count below the root
     parents: dict[str, str]
     weights: dict[Edge, Optional[float]]
 
     @property
-    def nodes(self) -> KeysView[str]:
-        return self.depths.keys()
+    def nodes(self) -> set[str]:
+        return self.parents.keys() | {self.root}
 
     @cached_property
     def _root_paths(self) -> dict[str, RootPath]:
@@ -97,7 +96,7 @@ class OntologyTree:
             if edge_list:
                 raise TreeValidationError(f"isolated root {lone_root!r} declared alongside edges")
             _check_label(lone_root, head=True)
-            return cls(root=lone_root, depths={lone_root: 0}, parents={}, weights={})
+            return cls(root=lone_root, parents={}, weights={})
         if not edge_list:
             raise TreeValidationError("tree has no nodes")
 
@@ -130,30 +129,27 @@ class OntologyTree:
             raise TreeValidationError(f"multiple roots: {', '.join(repr(r) for r in roots)}")
         root = roots[0]
 
-        # One walk from the root both proves every node reachable and records its depth.
-        depths = {root: 0}
-        frontier = [root]
+        # One walk from the root proves every node reachable.
+        reached, frontier = {root}, [root]
         while frontier:
-            parent = frontier.pop()
-            below = depths[parent] + 1
-            for child in children.get(parent, ()):
-                depths[child] = below
-                frontier.append(child)
-        if len(depths) != len(parents) + 1:
+            below = children.get(frontier.pop(), ())
+            reached.update(below)
+            frontier.extend(below)
+        if len(reached) != len(parents) + 1:
             # Every node but the root has a parent, so the unreachable ones are all children.
-            missing = sorted(parents.keys() - depths.keys())
+            missing = sorted(parents.keys() - reached)
             raise TreeValidationError(
                 f"nodes unreachable from root {root!r}: {', '.join(repr(n) for n in missing)}"
             )
 
-        return cls(root=root, depths=depths, parents=parents, weights=weights)
+        return cls(root=root, parents=parents, weights=weights)
 
     def edge_list(self) -> list[tuple[str, str, Optional[float]]]:
         """Edges with weights, in document (insertion) order."""
         return [(p, c, w) for (p, c), w in self.weights.items()]
 
     def require(self, node_id: str) -> str:
-        if node_id not in self.depths:
+        if node_id != self.root and node_id not in self.parents:
             raise UnknownNodeError(f"unknown node {node_id!r}")
         return node_id
 

@@ -167,52 +167,60 @@ class PairCache:
     Line format: ``term_a<TAB>term_b<TAB>fx<TAB>fy<TAB>fxy<TAB>m`` with the
     terms lowercased and lexicographically ordered.  Every ``put`` appends one
     whole line, so a last line without its newline was cut off by a run that
-    died mid-write: it is dropped with a warning, and the next ``put`` cuts
-    it from the file before appending.  Each put holds an exclusive ``flock``,
-    so runs sharing a file keep each other's lines.
+    died mid-write: the load drops it with a warning, and the next ``put`` cuts
+    it.  Runs may share a file: each put holds an exclusive ``flock``, reads the
+    lines appended since, and appends its pair only if no line read holds it.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple[str, str], HitCounts] = {}
-        self._torn: Optional[tuple[int, bytes]] = None  # a torn last line's offset and bytes
+        self._end = self._lines = 0  # the bytes and the count of the whole lines read
         if self.path.exists():
-            data = self.path.read_bytes()
-            end = data.rfind(b"\n") + 1
-            if end < len(data):
-                self._torn = (end, data[end:])
+            with open(self.path, "rb") as handle:
+                torn = self._read(handle.fileno())
+            if torn:
                 warnings.warn(
-                    f"{self.path}: dropped a torn last line without a newline: {data[end:]!r}",
+                    f"{self.path}: dropped a torn last line without a newline: {torn!r}",
                     stacklevel=2,
                 )
-            self._entries.update(_parse_counts_table(data[:end].decode("utf-8-sig"), self.path))
+
+    def _read(self, fd: int) -> bytes:
+        """Read the whole lines past ``_end`` into the entries; return a torn line after them."""
+        size = os.fstat(fd).st_size
+        if size < self._end:  # replaced or cut by hand: read it again from the start
+            self._entries, self._end, self._lines = {}, 0, 0
+        data = os.pread(fd, size - self._end, self._end)
+        end = data.rfind(b"\n") + 1
+        text = data[:end].decode("utf-8-sig" if self._end == 0 else "utf-8")
+        self._lines = _parse_counts_table(text, self.path, self._entries, self._lines)
+        self._end += end
+        return data[end:]
 
     def get(self, x: str, y: str) -> Optional[HitCounts]:
         return _lookup(self._entries, x, y)
 
     def put(self, x: str, y: str, counts: HitCounts) -> None:
-        (term_a, term_b), stored = _oriented(x, y, counts)
-        self._entries[(term_a, term_b)] = stored
-        line = f"{term_a}\t{term_b}\t{stored.fx}\t{stored.fy}\t{stored.fxy}\t{stored.m}\n"
+        key, stored = _oriented(x, y, counts)
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd is closed
-            if self._torn is not None:
-                # Cut the fragment only if it still ends the file (a byte more is read to tell):
-                # another run may have cut it and appended since.
-                at, fragment = self._torn
-                if os.pread(fd, len(fragment) + 1, at) == fragment:
-                    os.ftruncate(fd, at)
-                self._torn = None
-            os.write(fd, line.encode("utf-8"))
+            if self._read(fd):
+                os.ftruncate(fd, self._end)
+            if key not in self._entries:
+                line = f"{key[0]}\t{key[1]}\t{stored.fx}\t{stored.fy}\t{stored.fxy}\t{stored.m}\n"
+                os.write(fd, line.encode("utf-8"))
+                self._read(fd)  # takes in the line just written
         finally:
             os.close(fd)
 
 
-def _parse_counts_table(text: str, path: str | Path) -> dict[tuple[str, str], HitCounts]:
-    """Read a pair-counts TSV's text (cache file and static table share the format)."""
-    table: dict[tuple[str, str], HitCounts] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
+def _parse_counts_table(
+    text: str, path: str | Path, table: dict[tuple[str, str], HitCounts], number: int
+) -> int:
+    """Add a pair-counts TSV's lines, numbered after ``number``, to table; return the last
+    number.  The cache file and static table share the format."""
+    for number, raw in enumerate(text.splitlines(), start=number + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -227,7 +235,7 @@ def _parse_counts_table(text: str, path: str | Path) -> dict[tuple[str, str], Hi
             raise ConfigError(f"{path}: line {number}: {exc}") from exc
         if table.setdefault(key, counts) != counts:
             raise ConfigError(f"{path}: line {number}: pair {key} repeats with other counts")
-    return table
+    return number
 
 
 class CountProvider(ABC):
@@ -250,7 +258,9 @@ class StaticTableProvider(CountProvider):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StaticTableProvider":
-        return cls(_parse_counts_table(Path(path).read_text(encoding="utf-8-sig"), path))
+        table: dict[tuple[str, str], HitCounts] = {}
+        _parse_counts_table(Path(path).read_text(encoding="utf-8-sig"), path, table, 0)
+        return cls(table)
 
     def counts(self, x: str, y: str) -> HitCounts:
         counts = _lookup(self._table, x, y)

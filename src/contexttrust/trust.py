@@ -2,21 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dataset import RATE_MAX, RATE_MIN, TrustProfile
 from .errors import DomainError
 from .ontology import OntologyTree
 from .similarity import PathMode, tree_measure
-
-
-@dataclass(frozen=True)
-class TrustPrediction:
-    """One predicted rating for an unknown context from a known one."""
-
-    similarity: float
-    known_rate: float
-    predicted_rate: float
 
 
 def predict_trust(known_rate: float, similarity: float) -> float:
@@ -40,8 +29,7 @@ def predict_for_pair(
     known: str,
     unknown: str,
     mode: PathMode = PathMode.PRODUCT,
-) -> TrustPrediction:
-    """Compose a tree measure with the multiplication rule for one context pair."""
+) -> float:
+    """The predicted rate in unknown: known's rate times the tree measure of the pair."""
     known_rate = profile.aggregate(known)
-    similarity = tree_measure(measure, mode)(tree, known, unknown)
-    return TrustPrediction(similarity, known_rate, predict_trust(known_rate, similarity))
+    return predict_trust(known_rate, tree_measure(measure, mode)(tree, known, unknown))

@@ -30,7 +30,7 @@ from contexttrust.evaluation import (
     run_comparison,
 )
 from contexttrust.ontology import OntologyTree
-from contexttrust.similarity import PathMode
+from contexttrust.similarity import PathMode, tree_measure
 from contexttrust.trust import predict_for_pair
 
 
@@ -322,9 +322,10 @@ def test_records_equal_predict_for_pair_and_rate_difference(measures, seed, mode
     for record in report.records:
         profile = profiles[record.seller]
         known, unknown = record.known, record.unknown
-        prediction = predict_for_pair(profile, tree, record.measure, known, unknown, mode)
-        assert record.similarity == prediction.similarity
-        assert record.predicted == prediction.predicted_rate
+        assert record.similarity == tree_measure(record.measure, mode)(tree, known, unknown)
+        assert record.predicted == predict_for_pair(
+            profile, tree, record.measure, known, unknown, mode
+        )
         assert record.real == profile.aggregate(unknown)
         assert record.rate_difference == abs(profile.aggregate(known) - profile.aggregate(unknown))
 

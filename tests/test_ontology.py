@@ -310,11 +310,12 @@ def test_path_matches_brute_force_enumeration(tree_pair):
 @given(tree_with_pair())
 def test_lca_and_depths_match_brute_force(tree_pair):
     tree, a, b = tree_pair
-    assert tree.depths == {n: len(brute_force_root_set(tree, n)) - 1 for n in tree.nodes}
+    depths = {n: len(path_between(tree, n, tree.root).nodes) - 1 for n in tree.nodes}
+    assert depths == {n: len(brute_force_root_set(tree, n)) - 1 for n in tree.nodes}
     common = brute_force_root_set(tree, a) & brute_force_root_set(tree, b)
-    lca = min(path_between(tree, a, b).nodes, key=tree.depths.get)  # the path's top node
+    lca = min(path_between(tree, a, b).nodes, key=depths.get)  # the path's top node
     assert lca in common
-    assert tree.depths[lca] == len(common) - 1
+    assert depths[lca] == len(common) - 1
     for node in tree.nodes:
         assert list(path_between(tree, node, tree.root).nodes) == brute_force_root_walk(tree, node)
     # Read from the root down, the two root paths agree down to the LCA, then part for good.
@@ -337,10 +338,10 @@ def test_path_queries_reject_unknown_nodes(tree_pair):
 def test_deep_chain_depths_survive_weighing():
     # 5000 nodes, depth 4999: every walk must be a loop, not a recursion.
     tree = chain_tree([None] * 4999)
-    expected = {f"c{i}": i for i in range(5000)}
-    assert tree.depths == expected
+    assert tree.nodes == {f"c{i}" for i in range(5000)}
     weighted, _ = weigh_tree(tree, FixedCountsProvider(HitCounts(10, 1, 1, 10**10)))
-    assert weighted.depths == expected
+    for i in (0, 2500, 4999):
+        assert len(path_between(weighted, f"c{i}", weighted.root).nodes) - 1 == i
     # c2500 is c4999's ancestor, so the path only climbs.
     assert path_between(weighted, "c4999", "c2500").nodes == tuple(
         f"c{i}" for i in range(4999, 2499, -1)

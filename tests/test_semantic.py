@@ -567,8 +567,65 @@ def test_cache_two_runs_on_one_torn_file_keep_every_line(tmp_path):
         assert reloaded.get(x, y) is not None
 
 
-# Loads the cache named by argv[1], then puts 200 pairs named after argv[2], waiting for a
-# line on stdin before the 1st and the 101st put and printing "half" after the 100th.
+def test_cache_two_runs_putting_one_pair_keep_the_first_line(tmp_path):
+    # Both runs miss ("laptop", "phone") and fetch it; an endpoint's count drifted between.
+    path = tmp_path / "cache.tsv"
+    first, second = PairCache(path), PairCache(path)
+    first.put("laptop", "phone", HitCounts(100, 50, 10, 1000))
+    second.put("phone", "laptop", HitCounts(50, 101, 10, 1000))
+    assert path.read_text(encoding="utf-8") == "laptop\tphone\t100\t50\t10\t1000\n"
+    for cache in (first, second, PairCache(path)):
+        assert cache.get("laptop", "phone") == HitCounts(100, 50, 10, 1000)
+
+
+def test_cache_one_run_putting_one_pair_twice_keeps_the_first_line(tmp_path):
+    path = tmp_path / "cache.tsv"
+    cache = PairCache(path)
+    cache.put("a", "b", HitCounts(3, 2, 1, 10))
+    cache.put("B", "A", HitCounts(3, 3, 1, 10))
+    assert path.read_text(encoding="utf-8") == "a\tb\t3\t2\t1\t10\n"
+    assert cache.get("a", "b") == PairCache(path).get("a", "b") == HitCounts(3, 2, 1, 10)
+
+
+def test_cache_put_cuts_a_torn_line_left_after_the_load(tmp_path):
+    # Another run dies mid-write after this one loaded the file.
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\n")
+    cache = PairCache(path)
+    with open(path, "ab") as handle:
+        handle.write(b"c\td\t1")
+    cache.put("e", "f", HitCounts(1, 1, 1, 10))
+    assert path.read_text(encoding="utf-8") == "a\tb\t3\t2\t1\t10\ne\tf\t1\t1\t1\t10\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reloaded = PairCache(path)
+    assert reloaded.get("e", "f") == HitCounts(1, 1, 1, 10)
+
+
+def test_cache_put_reads_a_file_cut_below_its_lines_again(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\nc\td\t4\t4\t4\t10\n")
+    cache = PairCache(path)
+    path.write_bytes(b"a\tb\t3\t3\t1\t10\n")  # replaced by hand with a shorter file
+    cache.put("e", "f", HitCounts(1, 1, 1, 10))
+    assert cache.get("a", "b") == HitCounts(3, 3, 1, 10)
+    assert cache.get("c", "d") is None
+    assert PairCache(path).get("e", "f") == HitCounts(1, 1, 1, 10)
+
+
+def test_cache_put_refuses_a_line_appended_with_other_counts_by_its_line_number(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\n")
+    cache = PairCache(path)
+    with open(path, "ab") as handle:
+        handle.write(b"# a comment\nB\tA\t2\t4\t1\t10\n")
+    with pytest.raises(ConfigError, match=r"cache\.tsv: line 3: pair \('a', 'b'\) repeats"):
+        cache.put("e", "f", HitCounts(1, 1, 1, 10))
+
+
+# Loads the cache named by argv[1], then puts 200 pairs named after argv[2] with fx argv[3],
+# waiting for a line on stdin before the 1st and the 101st put and printing "half" after the
+# 100th.
 CACHE_CHILD = """
 import sys, warnings
 from contexttrust.semantic import HitCounts, PairCache
@@ -578,7 +635,7 @@ print("loaded", flush=True)
 for i in range(200):
     if i % 100 == 0:
         sys.stdin.readline()
-    cache.put(f"{sys.argv[2]}{i}", "x", HitCounts(1, 1, 1, 10))
+    cache.put(f"{sys.argv[2]}{i}", "x", HitCounts(int(sys.argv[3]), 1, 1, 10))
     if i == 99:
         print("half", flush=True)
 """
@@ -589,14 +646,14 @@ def _line_from(child) -> str:
     return child.stdout.readline()
 
 
-def test_cache_two_processes_on_one_torn_file_keep_every_line(tmp_path):
-    path = tmp_path / "cache.tsv"
+def _two_children_on_one_torn_cache(path, p_args, q_args) -> list[str]:
+    """Run CACHE_CHILD as p and q on a torn cache at path; return the file's lines."""
     path.write_bytes(b"a\tb\t3\t2\t1\t10\nc\td\t1")
     env = dict(os.environ, PYTHONPATH=str(Path(contexttrust.__file__).parents[1]))
     children = [
-        subprocess.Popen([sys.executable, "-c", CACHE_CHILD, str(path), name], env=env,
+        subprocess.Popen([sys.executable, "-c", CACHE_CHILD, str(path), *args], env=env,
                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        for name in ("p", "q")
+        for args in (p_args, q_args)
     ]
     try:
         for child in children:  # both hold the torn fragment before either puts
@@ -619,9 +676,27 @@ def test_cache_two_processes_on_one_torn_file_keep_every_line(tmp_path):
             child.stdout.close()
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines.pop() == ""  # the file ends with a whole line
-    expected = {f"{name}{i}\tx\t1\t1\t1\t10" for name in "pq" for i in range(200)}
     assert lines[0] == "a\tb\t3\t2\t1\t10"
-    assert len(lines) == 401 and set(lines[1:]) == expected
+    return lines[1:]
+
+
+def test_cache_two_processes_on_one_torn_file_keep_every_line(tmp_path):
+    lines = _two_children_on_one_torn_cache(tmp_path / "cache.tsv", ("p", "1"), ("q", "1"))
+    expected = {f"{name}{i}\tx\t1\t1\t1\t10" for name in "pq" for i in range(200)}
+    assert len(lines) == 400 and set(lines) == expected
+
+
+def test_cache_two_processes_putting_the_same_pairs_write_each_once(tmp_path):
+    # p and q put the same 200 pairs with fx 1 and 2: q's first 100 meet p's lines, and
+    # the last 100 race.
+    path = tmp_path / "cache.tsv"
+    lines = _two_children_on_one_torn_cache(path, ("s", "1"), ("s", "2"))
+    assert sorted(line.split("\t")[0] for line in lines) == sorted(f"s{i}" for i in range(200))
+    assert {f"s{i}\tx\t1\t1\t1\t10" for i in range(100)} <= set(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reloaded = PairCache(path)
+    assert all(reloaded.get(f"s{i}", "x").fx in (1, 2) for i in range(200))
 
 
 def test_counts_table_blank_term_is_an_error(tmp_path):

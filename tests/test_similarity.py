@@ -512,10 +512,9 @@ def test_tree_measure_rejects_other_measures(measure):
 def test_tree_measure_reads_the_module_namespace_when_called(monkeypatch):
     # A wrapper put in the module (as a tracer does) is the function a caller gets.
     def wrapped(tree, a, b):
-        return 0.5
+        return 0.25  # the unwrapped ratio of c0 and c1 is 0.5
     monkeypatch.setattr(similarity, "shared_path_ratio", wrapped)
     assert tree_measure("shared") is wrapped
     # predict_for_pair takes its measure through tree_measure, so it meets the wrapper too.
     profile = build_profiles({"s": [Review("c0", 4, "d", "t", "l")]})["s"]
-    prediction = trust.predict_for_pair(profile, chain_tree([0.9]), "shared", "c0", "c1")
-    assert prediction.similarity == 0.5
+    assert trust.predict_for_pair(profile, chain_tree([0.9]), "shared", "c0", "c1") == 1.0

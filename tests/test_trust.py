@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from helpers import chain_tree, tree_with_pair
 from contexttrust.dataset import Review, build_profiles
 from contexttrust.errors import DomainError, MissingContextError, UnknownNodeError
-from contexttrust.similarity import PathMode
+from contexttrust.similarity import PathMode, tree_measure
 from contexttrust.trust import predict_for_pair, predict_trust
 
 
@@ -64,18 +64,16 @@ def test_pair_identity_returns_known_aggregate():
     tree = chain_tree([0.9, 0.9])
     profile = profile_with({"c0": (4, 5)})
     for measure in ("weighted", "eq1", "shared"):
-        prediction = predict_for_pair(profile, tree, measure, "c0", "c0")
-        assert prediction.predicted_rate == 4.5
-        assert prediction.similarity == 1.0
+        assert predict_for_pair(profile, tree, measure, "c0", "c0") == 4.5
+        assert tree_measure(measure)(tree, "c0", "c0") == 1.0
 
 
 def test_pair_uniform_tree_hand_composition():
     tree = chain_tree([0.9, 0.9])
     profile = profile_with({"c0": (4, 5, 1, 3, 1, 5, 1, 1, 4, 4)})  # mean 2.9
-    prediction = predict_for_pair(profile, tree, "weighted", "c0", "c2")
-    assert prediction.similarity == pytest.approx(0.81)
-    assert prediction.predicted_rate == pytest.approx(2.349)
-    assert prediction.known_rate == pytest.approx(2.9)
+    assert tree_measure("weighted")(tree, "c0", "c2") == pytest.approx(0.81)
+    assert predict_for_pair(profile, tree, "weighted", "c0", "c2") == pytest.approx(2.349)
+    assert profile.aggregate("c0") == pytest.approx(2.9)
 
 
 def test_pair_unknown_tree_node():
@@ -96,6 +94,6 @@ def test_pair_context_missing_from_profile():
 def test_product_mode_never_exceeds_known(tree_pair, rates):
     tree, a, b = tree_pair
     profile = profile_with({a: rates})
-    prediction = predict_for_pair(profile, tree, "weighted", a, b, PathMode.PRODUCT)
-    assert prediction.predicted_rate <= prediction.known_rate
-    assert 0.0 <= prediction.predicted_rate <= 5.0
+    rate = predict_for_pair(profile, tree, "weighted", a, b, PathMode.PRODUCT)
+    assert rate <= profile.aggregate(a)
+    assert 0.0 <= rate <= 5.0
