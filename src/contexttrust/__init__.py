@@ -6,10 +6,10 @@ else is imported from its submodule.
 
 from .dataset import build_profiles, load_reviews
 from .errors import ContextTrustError
+from .evaluation import predict_for_pair
 from .ontology import load_tree, weigh_tree
 from .semantic import StaticTableProvider
 from .similarity import PathMode
-from .trust import predict_for_pair
 
 __version__ = "0.1.0"
 

@@ -24,8 +24,8 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from . import dataset, evaluation, ontology, semantic, similarity, trust
-from .errors import ContextTrustError, DomainError, SchemaError
+from . import dataset, evaluation, ontology, semantic, similarity
+from .errors import ContextTrustError, DomainError, SchemaError, decode_input
 from .similarity import ALL_MEASURES, PathMode, TREE_MEASURES
 
 _WRITE_CHARS = 1 << 16  # characters encoded and written at a time by _write_atomic
@@ -79,25 +79,26 @@ def _load_profiles(args: argparse.Namespace) -> dict[str, dataset.TrustProfile]:
 
 
 def _read_pairs(path: str | Path) -> list[evaluation.Pair]:
-    text = Path(path).read_text(encoding="utf-8-sig")
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: pairs file is empty, expected header row") from None
-    if [h.strip() for h in header] != ["seller", "known", "unknown"]:
-        raise SchemaError(f"{path}: pairs header must be seller,known,unknown")
+    reader = csv.reader(io.StringIO(decode_input(Path(path).read_bytes(), path, SchemaError)))
     shared = {}.setdefault  # one string object per distinct name, kept by every row
     pairs: list[evaluation.Pair] = []
-    for number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise SchemaError(f"{path}: row {number}: expected 3 columns")
-        seller, known, unknown = row[0].strip(), row[1].strip(), row[2].strip()
-        if not (seller and known and unknown):
-            raise SchemaError(f"{path}: row {number}: a field is blank")
-        pairs.append((shared(seller, seller), shared(known, known), shared(unknown, unknown)))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: pairs file is empty, expected header row")
+        if [h.strip() for h in header] != ["seller", "known", "unknown"]:
+            raise SchemaError(f"{path}: pairs header must be seller,known,unknown")
+        for number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise SchemaError(f"{path}: row {number}: expected 3 columns")
+            seller, known, unknown = row[0].strip(), row[1].strip(), row[2].strip()
+            if not (seller and known and unknown):
+                raise SchemaError(f"{path}: row {number}: a field is blank")
+            pairs.append((shared(seller, seller), shared(known, known), shared(unknown, unknown)))
+    except csv.Error as exc:  # a field over csv's size limit; a NUL byte before 3.11
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
     return pairs
 
 
@@ -145,7 +146,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     profile = _load_profiles(args).get(args.seller)
     if profile is None:
         raise DomainError(f"no eligible profile for seller {args.seller!r} after filtering")
-    rate = trust.predict_for_pair(
+    rate = evaluation.predict_for_pair(
         profile, tree, args.measure, args.known, args.unknown, PathMode(args.mode)
     )
     print(f"{rate:.6f}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DomainError, MissingContextError, RowError, SchemaError
+from .errors import DomainError, MissingContextError, RowError, SchemaError, decode_input
 
 REVIEW_HEADER = ("Context", "Rate", "Date", "Description", "Link")
 RATE_MIN, RATE_MAX = 1, 5  # the rating scale, inclusive
@@ -59,43 +59,44 @@ def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list
     prefix = f"{source} (seller {seller})" if seller else source
 
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{prefix}: file is empty, expected header row") from None
-    if tuple(header) != REVIEW_HEADER:
-        raise SchemaError(
-            f"{prefix}: header must be {','.join(REVIEW_HEADER)}, got {','.join(header)}"
-        )
-
     reviews: list[Review] = []
-    for number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(REVIEW_HEADER):
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{prefix}: file is empty, expected header row")
+        if tuple(header) != REVIEW_HEADER:
             raise SchemaError(
-                f"{prefix}: row {number}: expected {len(REVIEW_HEADER)} columns, got {len(row)}"
+                f"{prefix}: header must be {','.join(REVIEW_HEADER)}, got {','.join(header)}"
             )
-        context, rate_text, date, description, link = row
-        context = context.strip()
-        if not context:
-            raise RowError(f"{prefix}: row {number}: empty context")
-        try:
-            rate = int(rate_text.strip())
-        except ValueError:
-            raise RowError(
-                f"{prefix}: row {number}: rate {rate_text!r} is not an integer"
-            ) from None
-        if not RATE_MIN <= rate <= RATE_MAX:
-            raise RowError(f"{prefix}: row {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
-        reviews.append(Review(context, rate, date, description, link))
+        for number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(REVIEW_HEADER):
+                raise SchemaError(
+                    f"{prefix}: row {number}: expected {len(header)} columns, got {len(row)}"
+                )
+            context, rate_text, date, description, link = row
+            context = context.strip()
+            if not context:
+                raise RowError(f"{prefix}: row {number}: empty context")
+            try:
+                rate = int(rate_text.strip())
+            except ValueError:
+                raise RowError(
+                    f"{prefix}: row {number}: rate {rate_text!r} is not an integer"
+                ) from None
+            if not RATE_MIN <= rate <= RATE_MAX:
+                raise RowError(f"{prefix}: row {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
+            reviews.append(Review(context, rate, date, description, link))
+    except csv.Error as exc:  # a field over csv's size limit; a NUL byte before 3.11
+        raise SchemaError(f"{prefix}: line {reader.line_num}: {exc}") from exc
     return reviews
 
 
 def load_reviews(path: str | Path, seller: str = "") -> list[Review]:
     """Read and parse one review CSV file (a leading BOM is ignored)."""
-    path = Path(path)
-    return parse_reviews(path.read_text(encoding="utf-8-sig"), seller=seller, source=str(path))
+    text = decode_input(Path(path).read_bytes(), path, SchemaError)
+    return parse_reviews(text, seller=seller, source=str(path))
 
 
 def build_profiles(reviews_by_seller: Mapping[str, Sequence[Review]]) -> dict[str, TrustProfile]:

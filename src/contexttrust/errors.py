@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all contexttrust modules."""
+"""Exception hierarchy shared by all contexttrust modules, and the input-file decoder."""
 
 
 class ContextTrustError(Exception):
@@ -75,3 +75,15 @@ class UnknownSellerError(ContextTrustError):
 
 class DegenerateInputError(ContextTrustError):
     """A statistic is undefined on the given data (e.g. zero variance)."""
+
+
+def decode_input(data: bytes, path: object, error: type[ContextTrustError], offset: int = 0) -> str:
+    """The text of bytes that start ``offset`` bytes into the input file ``path``.
+
+    Every input file is UTF-8, and a BOM at its start (offset 0 only) is dropped.  A byte
+    that is not UTF-8 raises ``error``, naming the file and the byte's offset in it.
+    """
+    try:
+        return data.decode("utf-8").removeprefix("" if offset else "\ufeff")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 at byte {offset + exc.start} ({exc.reason})") from exc

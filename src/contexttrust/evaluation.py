@@ -1,4 +1,4 @@
-"""Prediction scoring and measure comparison across seller/context pairs.
+"""Trust prediction (known rate times context similarity), its scoring, and measure comparison.
 
 The error of a prediction is its signed deviation from the real rate as a
 percentage of the 5-point scale.  A comparison run scores every requested
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .dataset import RATE_MAX, TrustProfile
+from .dataset import RATE_MAX, RATE_MIN, TrustProfile
 from .errors import (
     ArityError,
     ContextTrustError,
@@ -28,9 +28,6 @@ from .errors import (
 )
 from .ontology import OntologyTree
 from .similarity import TREE_MEASURES, PathMode, tree_measure
-from .trust import predict_trust
-# Unused here; bench/tracing.py patches this name. ROADMAP item 1 drops it.
-from .trust import predict_for_pair
 
 Pair = tuple[str, str, str]  # seller, known context, unknown context
 
@@ -66,6 +63,33 @@ class ComparisonReport:
     # Correlation of rate difference against the weighted measure's absolute
     # error; None with fewer than two weighted rows or with zero variance.
     rate_diff_error_pearson: Optional[float]
+
+
+def predict_trust(known_rate: float, similarity: float) -> float:
+    """Known rate scaled by similarity, capped at the top of the rating scale.
+
+    Similarities above 1 (reciprocal path mode) can push the raw product
+    past the ceiling.  Near-floor similarities can push it below the scale's
+    minimum; such a value is returned as is, so the result lies in (0, RATE_MAX].
+    """
+    if similarity <= 0:
+        raise DomainError(f"similarity must be positive, got {similarity}")
+    if not RATE_MIN <= known_rate <= RATE_MAX:
+        raise DomainError(f"known rate {known_rate} outside [{RATE_MIN}, {RATE_MAX}]")
+    return min(float(RATE_MAX), known_rate * similarity)
+
+
+def predict_for_pair(
+    profile: TrustProfile,
+    tree: OntologyTree,
+    measure: str,
+    known: str,
+    unknown: str,
+    mode: PathMode = PathMode.PRODUCT,
+) -> float:
+    """The predicted rate in unknown: known's rate times the tree measure of the pair."""
+    known_rate = profile.aggregate(known)
+    return predict_trust(known_rate, tree_measure(measure, mode)(tree, known, unknown))
 
 
 def error_percentage(predicted: float, real_rate: float) -> float:

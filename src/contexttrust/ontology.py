@@ -25,6 +25,7 @@ from .errors import (
     TreeParseError,
     TreeValidationError,
     UnknownNodeError,
+    decode_input,
 )
 from .semantic import DEFAULT_EPSILON, CountProvider, nss
 
@@ -193,7 +194,7 @@ def parse_tree(text: str, source: str = "<string>") -> OntologyTree:
 def load_tree(path: str | Path) -> OntologyTree:
     """Load and validate a tree document from a file."""
     path = Path(path)
-    return parse_tree(path.read_text(encoding="utf-8-sig"), source=str(path))
+    return parse_tree(decode_input(path.read_bytes(), path, TreeParseError), source=str(path))
 
 
 def dump_tree(tree: OntologyTree) -> str:

@@ -31,6 +31,7 @@ from .errors import (
     MissingPairError,
     ProviderError,
     UndefinedTermError,
+    decode_input,
 )
 
 DEFAULT_EPSILON = 0.01
@@ -162,14 +163,14 @@ def _lookup(table: dict[tuple[str, str], HitCounts], x: str, y: str) -> Optional
 
 
 class PairCache:
-    """Persistent term-pair cache: one TSV line per pair.
+    """Persistent term-pair cache: one UTF-8 TSV line per pair, after an optional BOM.
 
-    Line format: ``term_a<TAB>term_b<TAB>fx<TAB>fy<TAB>fxy<TAB>m`` with the
-    terms lowercased and lexicographically ordered.  Every ``put`` appends one
-    whole line, so a last line without its newline was cut off by a run that
-    died mid-write: the load drops it with a warning, and the next ``put`` cuts
-    it.  Runs may share a file: each put holds an exclusive ``flock``, reads the
-    lines appended since, and appends its pair only if no line read holds it.
+    Line format: ``term_a<TAB>term_b<TAB>fx<TAB>fy<TAB>fxy<TAB>m`` with the terms lowercased and
+    lexicographically ordered.  Bytes that are not UTF-8, read at the load or by a later
+    ``put``, are a ConfigError.  Every ``put`` appends one whole line, so a last line without
+    its newline was cut off by a run that died mid-write: the load drops it with a warning, and
+    the next ``put`` cuts it.  Runs may share a file: each put holds an exclusive ``flock``,
+    reads the lines appended since, and appends its pair only if no line read holds it.
     """
 
     def __init__(self, path: str | Path):
@@ -192,7 +193,7 @@ class PairCache:
             self._entries, self._end, self._lines = {}, 0, 0
         data = os.pread(fd, size - self._end, self._end)
         end = data.rfind(b"\n") + 1
-        text = data[:end].decode("utf-8-sig" if self._end == 0 else "utf-8")
+        text = decode_input(data[:end], self.path, ConfigError, self._end)
         self._lines = _parse_counts_table(text, self.path, self._entries, self._lines)
         self._end += end
         return data[end:]
@@ -259,7 +260,7 @@ class StaticTableProvider(CountProvider):
     @classmethod
     def from_file(cls, path: str | Path) -> "StaticTableProvider":
         table: dict[tuple[str, str], HitCounts] = {}
-        _parse_counts_table(Path(path).read_text(encoding="utf-8-sig"), path, table, 0)
+        _parse_counts_table(decode_input(Path(path).read_bytes(), path, ConfigError), path, table, 0)
         return cls(table)
 
     def counts(self, x: str, y: str) -> HitCounts:
@@ -305,14 +306,13 @@ class CorpusProvider(CountProvider):
             raise CorpusError(f"corpus directory is empty: {self.directory}")
         texts = []
         for name in names:
+            path = os.path.join(self.directory, name)
             try:
                 # A str path, unbuffered, line endings kept (\r and \n are non-word).
-                with open(os.path.join(self.directory, name), "rb", buffering=0) as handle:
-                    texts.append(handle.readall().decode("utf-8"))
-            except (OSError, UnicodeDecodeError) as exc:
-                raise CorpusError(
-                    f"cannot read corpus document {self.directory / name}: {exc}"
-                ) from exc
+                with open(path, "rb", buffering=0) as handle:
+                    texts.append(decode_input(handle.readall(), path, CorpusError))
+            except OSError as exc:
+                raise CorpusError(f"cannot read corpus document {path}: {exc}") from exc
         tokens: dict[str, int] = {}
         non_ascii = 0
         for i, text in enumerate(texts):
@@ -539,7 +539,7 @@ def load_provider_config(path: str | Path) -> ProviderConfig:
     """Read a provider config; relative paths resolve against the config file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
+        raw = json.loads(decode_input(path.read_bytes(), path, ConfigError))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read provider config {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -20,7 +20,7 @@ from helpers import DATA_DIR, chain_tree, random_tree, tree_with_pair, valid_hit
 from contexttrust.cli import main as cli_main
 from contexttrust.dataset import Review, build_profiles, filter_profiles, load_reviews
 from contexttrust.errors import DegenerateInputError
-from contexttrust.evaluation import error_percentage, pearson, run_comparison
+from contexttrust.evaluation import error_percentage, pearson, predict_trust, run_comparison
 from contexttrust.ontology import load_tree, parse_tree, dump_tree, weigh_tree
 from contexttrust.semantic import (
     CachedProvider,
@@ -41,7 +41,6 @@ from contexttrust.similarity import (
     task_similarity,
     weighted_path_similarity,
 )
-from contexttrust.trust import predict_trust
 
 EVALFIX = DATA_DIR / "evalfix"
 

@@ -688,6 +688,56 @@ def test_read_pairs_keeps_one_string_per_name(tmp_path):
     assert s1 is s2 and laptop1 is laptop2 and books1 is books2
 
 
+@pytest.mark.parametrize("field", ["x" * 200_000, "a\0b"], ids=["oversized", "nul"])
+def test_read_pairs_refuses_what_csv_cannot_read_by_its_line(tmp_path, field):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"seller,known,unknown\ns,Laptop,Books\ns,{field},Books\n", encoding="utf-8")
+    if "\0" in field and sys.version_info >= (3, 11):  # from 3.11 csv reads NUL as a character
+        assert cli._read_pairs(pairs)[1] == ("s", field, "Books")
+        return
+    with pytest.raises(SchemaError, match=r"pairs\.csv: line 3: "):
+        cli._read_pairs(pairs)
+
+
+# --- input files that are not UTF-8 ----------------------------------------------
+
+# Each input file, and the command that reads it. A 0xff byte is put at the start of the
+# file's second line, so the message names the byte by its offset past the first line.
+BAD_BYTE_INPUTS = {
+    "tree": ("weigh", "store_tree.tsv"),
+    "counts-table": ("weigh", "counts.tsv"),
+    "provider-config": ("weigh", "provider.json"),
+    "pair-cache": ("weigh", "cache.tsv"),
+    "reviews": ("eval", "techmart.csv"),
+    "pairs": ("eval", "pairs.csv"),
+}
+
+
+@pytest.mark.parametrize("command, name", BAD_BYTE_INPUTS.values(), ids=BAD_BYTE_INPUTS)
+def test_an_input_file_that_is_not_utf8_exits_1_naming_it(capsys, tmp_path, command, name):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(EVALFIX, inputs)
+    (inputs / "cache.tsv").write_text("laptop\tportables\t10000\t1000\t1000\t10000000000000\n"
+                                      "books\tmedia\t500\t5000\t100\t10000000000000\n",
+                                      encoding="utf-8")
+    out = tmp_path / "out.txt"
+    out.write_text("left alone\n", encoding="utf-8")
+    if command == "weigh":
+        argv = ["weigh", "--tree", EVALFIX / "store_tree.tsv", "--provider",
+                EVALFIX / "provider.json", "--cache", EVALFIX / "cache.tsv", "--out", out]
+    else:
+        argv = eval_args(weigh_fixture_tree(capsys, tmp_path)[0], out)
+    argv = [str(arg).replace(str(EVALFIX), str(inputs)) for arg in argv]
+    data = (inputs / name).read_bytes()
+    start = data.index(b"\n") + 1
+    (inputs / name).write_bytes(data[:start] + b"\xff" + data[start:])
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stderr == f"contexttrust: {inputs / name}: not UTF-8 at byte {start} (invalid start byte)\n"
+    assert "Traceback" not in stderr and stdout == ""
+    assert out.read_text(encoding="utf-8") == "left alone\n"
+
+
 # --- one parser per process ------------------------------------------------------
 
 def test_main_builds_the_parser_once(capsys):

@@ -25,13 +25,13 @@ from contexttrust.evaluation import (
     error_percentage,
     format_summary,
     pearson,
+    predict_for_pair,
     report_blocks,
     report_to_csv,
     run_comparison,
 )
 from contexttrust.ontology import OntologyTree
 from contexttrust.similarity import PathMode, tree_measure
-from contexttrust.trust import predict_for_pair
 
 
 def profiles_from(spec):

@@ -1,3 +1,4 @@
+import fcntl
 import gc
 import http.server
 import itertools
@@ -28,6 +29,7 @@ from contexttrust.errors import (
     MissingPairError,
     ProviderError,
     UndefinedTermError,
+    decode_input,
 )
 from contexttrust.semantic import (
     CachedProvider,
@@ -267,6 +269,20 @@ def test_corpus_line_endings_count_as_their_lf_versions(tmp_path, ending):
     for x, y in itertools.product(LINE_TERMS, repeat=2):
         assert other.counts(x, y) == lf.counts(x, y), (x, y)
     assert lf.counts("laptop bag", "case laptop") == HitCounts(1, 1, 0, 3)
+
+
+def test_corpus_document_may_start_with_bom(tmp_path):
+    providers = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        directory = tmp_path / name
+        directory.mkdir()
+        for i, text in enumerate(LINE_DOCS):
+            (directory / f"d{i}.txt").write_text(bom + text, encoding="utf-8")
+        providers.append(CorpusProvider(directory))
+    plain, with_bom = providers
+    for x, y in itertools.product(LINE_TERMS, repeat=2):
+        assert with_bom.counts(x, y) == plain.counts(x, y), (x, y)
+    assert with_bom._index[2] == 0  # no document is left non-ASCII by its BOM
 
 
 def test_corpus_skips_subdirectories_and_follows_symlinks_to_files(tmp_path):
@@ -621,6 +637,32 @@ def test_cache_put_refuses_a_line_appended_with_other_counts_by_its_line_number(
         handle.write(b"# a comment\nB\tA\t2\t4\t1\t10\n")
     with pytest.raises(ConfigError, match=r"cache\.tsv: line 3: pair \('a', 'b'\) repeats"):
         cache.put("e", "f", HitCounts(1, 1, 1, 10))
+
+
+def test_cache_put_refuses_a_non_utf8_line_appended_after_the_load_and_unlocks(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\n")
+    cache, other = PairCache(path), PairCache(path)
+    with open(path, "ab") as handle:
+        handle.write("caf\u00e9\tx\t3\t2\t1\t10\n".encode("cp1252"))
+    with pytest.raises(ConfigError, match=r"cache\.tsv: not UTF-8 at byte 16 "):
+        cache.put("e", "f", HitCounts(1, 1, 1, 10))
+    fd = os.open(path, os.O_RDWR)
+    try:  # the failed put let go of its lock
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    finally:
+        os.close(fd)
+    os.truncate(path, 13)  # the bad line cut by hand
+    other.put("e", "f", HitCounts(1, 1, 1, 10))
+    assert path.read_bytes() == b"a\tb\t3\t2\t1\t10\ne\tf\t1\t1\t1\t10\n"
+
+
+def test_decode_input_drops_a_bom_only_at_the_start_of_the_file():
+    bom = "\ufeffa".encode()
+    assert decode_input(bom, "f", ConfigError) == "a"
+    assert decode_input(bom, "f", ConfigError, offset=7) == "\ufeffa"
+    with pytest.raises(CorpusError, match=r"^f: not UTF-8 at byte 9 \(invalid start byte\)$"):
+        decode_input(b"ab\xff", "f", CorpusError, offset=7)
 
 
 # Loads the cache named by argv[1], then puts 200 pairs named after argv[2] with fx argv[3],

@@ -21,7 +21,7 @@ from contexttrust.errors import (
     MissingWeightError,
     UnknownNodeError,
 )
-from contexttrust import similarity, trust
+from contexttrust import evaluation, similarity
 from contexttrust.dataset import Review, build_profiles
 from contexttrust.ontology import (
     OntologyTree,
@@ -517,4 +517,4 @@ def test_tree_measure_reads_the_module_namespace_when_called(monkeypatch):
     assert tree_measure("shared") is wrapped
     # predict_for_pair takes its measure through tree_measure, so it meets the wrapper too.
     profile = build_profiles({"s": [Review("c0", 4, "d", "t", "l")]})["s"]
-    assert trust.predict_for_pair(profile, chain_tree([0.9]), "shared", "c0", "c1") == 1.0
+    assert evaluation.predict_for_pair(profile, chain_tree([0.9]), "shared", "c0", "c1") == 1.0

@@ -6,7 +6,7 @@ from helpers import chain_tree, tree_with_pair
 from contexttrust.dataset import Review, build_profiles
 from contexttrust.errors import DomainError, MissingContextError, UnknownNodeError
 from contexttrust.similarity import PathMode, tree_measure
-from contexttrust.trust import predict_for_pair, predict_trust
+from contexttrust.evaluation import predict_for_pair, predict_trust
 
 
 def profile_with(context_rates):
