@@ -14,10 +14,8 @@ process exits nonzero without touching the designated output file.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
-import io
 import os
 import sys
 import tempfile
@@ -28,7 +26,7 @@ from . import dataset, evaluation, ontology, semantic, similarity
 from .errors import ContextTrustError, DomainError, SchemaError, decode_input
 from .similarity import ALL_MEASURES, PathMode, TREE_MEASURES
 
-_WRITE_CHARS = 1 << 16  # characters encoded and written at a time by _write_atomic
+_PAIRS_HEADER = ("seller", "known", "unknown")
 
 
 def _write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
@@ -40,10 +38,7 @@ def _write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes 0600; keep a plain write's mode
-            # In slices, so that no encoded copy of a whole chunk is made.
-            for chunk in chunks:
-                for start in range(0, len(chunk), _WRITE_CHARS):
-                    handle.write(chunk[start:start + _WRITE_CHARS])
+            handle.writelines(chunks)
             handle.flush()
             os.fsync(fd)
         os.replace(tmp, path)
@@ -79,26 +74,14 @@ def _load_profiles(args: argparse.Namespace) -> dict[str, dataset.TrustProfile]:
 
 
 def _read_pairs(path: str | Path) -> list[evaluation.Pair]:
-    reader = csv.reader(io.StringIO(decode_input(Path(path).read_bytes(), path, SchemaError)))
+    text = decode_input(Path(path).read_bytes(), path, SchemaError)
     shared = {}.setdefault  # one string object per distinct name, kept by every row
     pairs: list[evaluation.Pair] = []
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: pairs file is empty, expected header row")
-        if [h.strip() for h in header] != ["seller", "known", "unknown"]:
-            raise SchemaError(f"{path}: pairs header must be seller,known,unknown")
-        for number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise SchemaError(f"{path}: row {number}: expected 3 columns")
-            seller, known, unknown = row[0].strip(), row[1].strip(), row[2].strip()
-            if not (seller and known and unknown):
-                raise SchemaError(f"{path}: row {number}: a field is blank")
-            pairs.append((shared(seller, seller), shared(known, known), shared(unknown, unknown)))
-    except csv.Error as exc:  # a field over csv's size limit; a NUL byte before 3.11
-        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+    for number, (seller, known, unknown) in dataset.csv_rows(text, str(path), _PAIRS_HEADER):
+        seller, known, unknown = seller.strip(), known.strip(), unknown.strip()
+        if not (seller and known and unknown):
+            raise SchemaError(f"{path}: row {number}: a field is blank")
+        pairs.append((shared(seller, seller), shared(known, known), shared(unknown, unknown)))
     return pairs
 
 

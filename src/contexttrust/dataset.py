@@ -1,9 +1,10 @@
 """Review CSV ingestion and per-seller trust profiles.
 
-Review files are UTF-8 CSV with the exact header
+Review files are UTF-8 CSV with the header
 ``Context,Rate,Date,Description,Link``; the seller identity comes from the
 file name or an explicit argument, never from the file itself.  Dates and
-links are carried verbatim and never interpreted.
+links are carried verbatim and never interpreted.  ``csv_rows`` reads every
+CSV input, the pairs file included.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, MissingContextError, RowError, SchemaError, decode_input
 
@@ -51,45 +52,58 @@ class TrustProfile:
         return self.contexts[context].aggregate
 
 
+def csv_rows(text: str, source: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """The rows after the header of CSV ``text``, each with its row number; blank rows skipped.
+
+    The header's fields, stripped, must equal ``header``, and every row must have as many
+    fields.  A NUL byte, or what csv cannot read, is refused by its line.  Each fault is a
+    ``SchemaError`` that starts with ``source``.
+    """
+    nul = text.find("\0")
+    if nul >= 0:  # csv reads NUL as a character from 3.11 on, but refuses it on 3.10
+        line = text.count("\n", 0, nul) + 1
+        raise SchemaError(f"{source}: line {line}: line contains NUL")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        got = next(reader, None)
+        if got is None:
+            raise SchemaError(f"{source}: file is empty, expected header row")
+        if [field.strip() for field in got] != list(header):
+            raise SchemaError(f"{source}: header must be {','.join(header)}, got {','.join(got)}")
+        for number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{source}: row {number}: expected {len(header)} columns, got {len(row)}"
+                )
+            yield number, row
+    except csv.Error as exc:  # a field over csv's size limit
+        raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from exc
+
+
 def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list[Review]:
     """Parse review CSV text into Reviews, in document order.
 
     ``source`` names the text in error messages.
     """
     prefix = f"{source} (seller {seller})" if seller else source
-
-    reader = csv.reader(io.StringIO(text))
     reviews: list[Review] = []
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{prefix}: file is empty, expected header row")
-        if tuple(header) != REVIEW_HEADER:
-            raise SchemaError(
-                f"{prefix}: header must be {','.join(REVIEW_HEADER)}, got {','.join(header)}"
-            )
-        for number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(REVIEW_HEADER):
-                raise SchemaError(
-                    f"{prefix}: row {number}: expected {len(header)} columns, got {len(row)}"
-                )
-            context, rate_text, date, description, link = row
-            context = context.strip()
-            if not context:
-                raise RowError(f"{prefix}: row {number}: empty context")
-            try:
-                rate = int(rate_text.strip())
-            except ValueError:
-                raise RowError(
-                    f"{prefix}: row {number}: rate {rate_text!r} is not an integer"
-                ) from None
-            if not RATE_MIN <= rate <= RATE_MAX:
-                raise RowError(f"{prefix}: row {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
-            reviews.append(Review(context, rate, date, description, link))
-    except csv.Error as exc:  # a field over csv's size limit; a NUL byte before 3.11
-        raise SchemaError(f"{prefix}: line {reader.line_num}: {exc}") from exc
+    for number, (context, rate_text, date, description, link) in csv_rows(
+        text, prefix, REVIEW_HEADER
+    ):
+        context = context.strip()
+        if not context:
+            raise RowError(f"{prefix}: row {number}: empty context")
+        try:
+            rate = int(rate_text.strip())
+        except ValueError:
+            raise RowError(
+                f"{prefix}: row {number}: rate {rate_text!r} is not an integer"
+            ) from None
+        if not RATE_MIN <= rate <= RATE_MAX:
+            raise RowError(f"{prefix}: row {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
+        reviews.append(Review(context, rate, date, description, link))
     return reviews
 
 

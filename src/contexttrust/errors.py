@@ -54,7 +54,7 @@ class ArityError(ContextTrustError):
 
 
 class SchemaError(ContextTrustError):
-    """A review CSV does not match the expected column layout."""
+    """A CSV input does not match the expected column layout."""
 
 
 class RowError(ContextTrustError):

@@ -492,7 +492,7 @@ def test_eval_repeated_measure_exits_nonzero_and_spares_out(capsys, tmp_path):
 def test_write_atomic_writes_a_multi_slice_text_whole(tmp_path):
     target = tmp_path / "big.csv"
     text = "".join("row %07d,\u00e9t\u00e9\n" % i for i in range(300_000))
-    assert len(text) > 4 * cli._WRITE_CHARS and len(text.encode("utf-8")) > 5 << 20
+    assert len(text.encode("utf-8")) > 5 << 20
     cli._write_atomic(target, [text])
     assert target.read_bytes() == text.encode("utf-8")
     umask = os.umask(0)
@@ -504,7 +504,7 @@ def test_write_atomic_writes_a_multi_slice_text_whole(tmp_path):
 def test_write_atomic_encoding_failure_past_the_first_slice_keeps_the_old_file(tmp_path):
     target = tmp_path / "big.csv"
     target.write_bytes(b"old\n")
-    text = "a" * (3 * cli._WRITE_CHARS + 5) + "\ud800" + "b" * 10
+    text = "a" * ((1 << 18) + 5) + "\ud800" + "b" * 10
     with pytest.raises(UnicodeEncodeError):
         cli._write_atomic(target, [text])
     assert target.read_bytes() == b"old\n"
@@ -512,12 +512,14 @@ def test_write_atomic_encoding_failure_past_the_first_slice_keeps_the_old_file(t
 
 
 def test_write_atomic_makes_no_whole_copy_of_the_text(tmp_path):
+    # Callers bound each chunk (report_blocks, 4096 rows), so the chunks must not be joined.
     text = "0123456789abcde\n" * (1 << 19)  # 8 MiB
+    chunks = (text[start:start + (1 << 16)] for start in range(0, len(text), 1 << 16))
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        cli._write_atomic(tmp_path / "big.csv", [text])
+        cli._write_atomic(tmp_path / "big.csv", chunks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -527,7 +529,7 @@ def test_write_atomic_makes_no_whole_copy_of_the_text(tmp_path):
 
 def test_write_atomic_writes_its_chunks_in_order(tmp_path):
     target = tmp_path / "chunks.csv"
-    chunks = ["head\n", "", "\u00e9" * (3 * cli._WRITE_CHARS + 17), "x", "tail\n"]
+    chunks = ["head\n", "", "\u00e9" * ((1 << 18) + 17), "x", "tail\n"]
     cli._write_atomic(target, iter(chunks))
     assert target.read_bytes() == "".join(chunks).encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["chunks.csv"]
@@ -650,13 +652,13 @@ def test_eval_bad_pairs_header(capsys, tmp_path):
     argv[argv.index("--pairs") + 1] = pairs
     code, _, stderr = run(capsys, *argv)
     assert code == 1
-    assert "pairs header" in stderr
+    assert f"{pairs}: header must be seller,known,unknown, got a,b" in stderr
 
 
 def test_read_pairs_refuses_an_empty_file(tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("", encoding="utf-8")
-    with pytest.raises(SchemaError, match="pairs file is empty"):
+    with pytest.raises(SchemaError, match=rf"^{re.escape(str(pairs))}: file is empty"):
         cli._read_pairs(pairs)
 
 
@@ -692,11 +694,34 @@ def test_read_pairs_keeps_one_string_per_name(tmp_path):
 def test_read_pairs_refuses_what_csv_cannot_read_by_its_line(tmp_path, field):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text(f"seller,known,unknown\ns,Laptop,Books\ns,{field},Books\n", encoding="utf-8")
-    if "\0" in field and sys.version_info >= (3, 11):  # from 3.11 csv reads NUL as a character
-        assert cli._read_pairs(pairs)[1] == ("s", field, "Books")
-        return
     with pytest.raises(SchemaError, match=r"pairs\.csv: line 3: "):
         cli._read_pairs(pairs)
+
+
+# Both CSV inputs, each with its header and one valid row, read through dataset.csv_rows.
+CSV_INPUTS = {
+    "reviews": (LOAD_REVIEWS, dataset.REVIEW_HEADER, "Laptop,4,x,y,z"),
+    "pairs": (cli._read_pairs, ("seller", "known", "unknown"), "s,Laptop,Books"),
+}
+
+
+@pytest.mark.parametrize("fault", ["empty", "header", "short-row", "spaced-header"])
+@pytest.mark.parametrize("read, header, row", CSV_INPUTS.values(), ids=CSV_INPUTS)
+def test_both_csv_readers_give_one_fault_one_message(tmp_path, read, header, row, fault):
+    names = ",".join(header)
+    text, message = {
+        "empty": ("", "file is empty, expected header row"),
+        "header": ("a,b\n", f"header must be {names}, got a,b"),
+        "short-row": (f"{names}\n{row}\nx\n", f"row 3: expected {len(header)} columns, got 1"),
+        "spaced-header": (" , ".join(header) + f" \n{row}\n", None),
+    }[fault]
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    if message is None:  # a header is compared with its fields stripped
+        assert len(read(path)) == 1
+        return
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read(path)
 
 
 # --- input files that are not UTF-8 ----------------------------------------------

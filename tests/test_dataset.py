@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,9 +89,6 @@ def test_parse_keeps_quoted_commas():
 @pytest.mark.parametrize("field", ["x" * 200_000, "a\0b"], ids=["oversized", "nul"])
 def test_parse_refuses_what_csv_cannot_read_by_its_line(field):
     text = HEADER + f"Laptop,4,x,y,z\nLaptop,4,x,{field},z\n"
-    if "\0" in field and sys.version_info >= (3, 11):  # from 3.11 csv reads NUL as a character
-        assert parse_reviews(text)[1].description == field
-        return
     with pytest.raises(SchemaError, match=r"^reviews\.csv \(seller acme\): line 3: "):
         parse_reviews(text, seller="acme", source="reviews.csv")
 
