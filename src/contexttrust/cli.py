@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import os
 import sys
 import tempfile
+from array import array
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -80,7 +82,7 @@ def _read_pairs(path: str | Path) -> list[evaluation.Pair]:
     for number, (seller, known, unknown) in dataset.csv_rows(text, str(path), _PAIRS_HEADER):
         seller, known, unknown = seller.strip(), known.strip(), unknown.strip()
         if not (seller and known and unknown):
-            raise SchemaError(f"{path}: row {number}: a field is blank")
+            raise SchemaError(f"{path}: line {number}: a field is blank")
         pairs.append((shared(seller, seller), shared(known, known), shared(unknown, unknown)))
     return pairs
 
@@ -144,12 +146,24 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "no eligible sellers: every profile fell below the context/rating thresholds"
         )
     measures = args.measure or ["weighted", "eq1"]
-    # The pairs are passed, not kept: the report's rows hold the names they need.
-    report = evaluation.run_comparison(
-        profiles, tree, measures, _read_pairs(args.pairs), PathMode(args.mode)
-    )
-    _write_atomic(args.out, evaluation.report_blocks(report))  # rendered as it is written
-    sys.stdout.write(evaluation.format_summary(report))
+    mode = PathMode(args.mode)
+    pairs = _read_pairs(args.pairs)
+    step = max(1, evaluation._BLOCK_ROWS // len(measures))  # pairs a block
+    # The summary's inputs, in row order, gathered from every block's report.
+    summary = evaluation.ComparisonReport((), {m: array("d") for m in measures}, array("d"))
+
+    def score(start: int) -> str:
+        # A block's report is freed on return, before the next block is scored.
+        report = evaluation.run_comparison(profiles, tree, measures, pairs[start:start + step], mode)
+        for measure, errors in report.errors.items():
+            summary.errors[measure].extend(errors)
+        summary.differences.extend(report.differences)
+        return "".join(evaluation.report_blocks(report))
+
+    # At least one block, so that an empty pairs file still has its measures checked.
+    blocks = map(score, range(0, max(len(pairs), 1), step))
+    _write_atomic(args.out, itertools.chain([evaluation.REPORT_HEADER + "\n"], blocks))
+    sys.stdout.write(evaluation.format_summary(summary))
     return 0
 
 

@@ -53,11 +53,11 @@ class TrustProfile:
 
 
 def csv_rows(text: str, source: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """The rows after the header of CSV ``text``, each with its row number; blank rows skipped.
+    """The rows after the header of CSV ``text``, each with the line it starts on.
 
-    The header's fields, stripped, must equal ``header``, and every row must have as many
-    fields.  A NUL byte, or what csv cannot read, is refused by its line.  Each fault is a
-    ``SchemaError`` that starts with ``source``.
+    Blank rows are skipped.  The header's fields, stripped, must equal ``header``, and every
+    row must have as many fields.  A NUL byte, or what csv cannot read, is refused by its
+    line.  Each fault is a ``SchemaError`` that starts with ``source``.
     """
     nul = text.find("\0")
     if nul >= 0:  # csv reads NUL as a character from 3.11 on, but refuses it on 3.10
@@ -70,12 +70,15 @@ def csv_rows(text: str, source: str, header: Sequence[str]) -> Iterator[tuple[in
             raise SchemaError(f"{source}: file is empty, expected header row")
         if [field.strip() for field in got] != list(header):
             raise SchemaError(f"{source}: header must be {','.join(header)}, got {','.join(got)}")
-        for number, row in enumerate(reader, start=2):
+        line = reader.line_num
+        for row in reader:
+            # A quoted field may span lines, so a row starts past the last one read before it.
+            number, line = line + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
                 raise SchemaError(
-                    f"{source}: row {number}: expected {len(header)} columns, got {len(row)}"
+                    f"{source}: line {number}: expected {len(header)} columns, got {len(row)}"
                 )
             yield number, row
     except csv.Error as exc:  # a field over csv's size limit
@@ -94,15 +97,15 @@ def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list
     ):
         context = context.strip()
         if not context:
-            raise RowError(f"{prefix}: row {number}: empty context")
+            raise RowError(f"{prefix}: line {number}: empty context")
         try:
             rate = int(rate_text.strip())
         except ValueError:
             raise RowError(
-                f"{prefix}: row {number}: rate {rate_text!r} is not an integer"
+                f"{prefix}: line {number}: rate {rate_text!r} is not an integer"
             ) from None
         if not RATE_MIN <= rate <= RATE_MAX:
-            raise RowError(f"{prefix}: row {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
+            raise RowError(f"{prefix}: line {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
         reviews.append(Review(context, rate, date, description, link))
     return reviews
 

@@ -53,16 +53,39 @@ class EvaluationRecord(NamedTuple):
 
 REPORT_HEADER = ",".join(EvaluationRecord._fields)
 _ROW = ",".join(["%s"] * 4 + ["%.6f"] * 6) + "\n"
-_BLOCK_ROWS = 4096  # rows rendered and joined at a time by report_blocks
+_BLOCK_ROWS = 4096  # rows rendered and joined at a time; eval scores and holds no more
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """The rows of a comparison, and the summary's inputs in row order.
+
+    ``errors`` holds each measure's ``abs_error_pct`` values and ``differences`` each
+    pair's ``rate_difference``; the reports of consecutive runs concatenate into one.
+    """
+
     records: tuple[EvaluationRecord, ...]
-    mean_abs_error: dict[str, float]
-    # Correlation of rate difference against the weighted measure's absolute
-    # error; None with fewer than two weighted rows or with zero variance.
-    rate_diff_error_pearson: Optional[float]
+    errors: dict[str, array]
+    differences: array
+
+    @property
+    def mean_abs_error(self) -> dict[str, float]:
+        # sum() over the array, not a running total: from Python 3.12 sum() is compensated.
+        return {measure: sum(e) / len(e) for measure, e in self.errors.items() if e}
+
+    @property
+    def rate_diff_error_pearson(self) -> Optional[float]:
+        """Correlation of rate difference against the weighted measure's absolute error.
+
+        None with fewer than two weighted rows or with zero variance.
+        """
+        weighted = self.errors.get("weighted", ())
+        if len(weighted) < 2:
+            return None
+        try:
+            return pearson(self.differences, weighted)
+        except DegenerateInputError:
+            return None
 
 
 def predict_trust(known_rate: float, similarity: float) -> float:
@@ -161,29 +184,16 @@ def run_comparison(
             differences.append(diff)
         except ContextTrustError as exc:
             raise type(exc)(f"pair ({seller}, {known}, {unknown}): {exc}") from exc
-
-    # sum() over the array, not a running total: from Python 3.12 sum() is compensated.
-    mean_abs = {measure: sum(e) / len(e) for measure, e in errors.items() if e}
-    correlation: Optional[float] = None
-    if len(errors.get("weighted", ())) >= 2:
-        try:
-            correlation = pearson(differences, errors["weighted"])
-        except DegenerateInputError:
-            pass
-    return ComparisonReport(
-        records=tuple(records),
-        mean_abs_error=mean_abs,
-        rate_diff_error_pearson=correlation,
-    )
+    return ComparisonReport(tuple(records), errors, differences)
 
 
 def report_blocks(report: ComparisonReport) -> Iterator[str]:
-    """The report's CSV text (floats at 6 decimal places): the header, then blocks of rows.
+    """The CSV text of the report's rows (floats at 6 decimal places), in blocks.
 
-    Each row is one %-format; a block whose text fields need quoting is written by
+    Each block holds at most ``_BLOCK_ROWS`` rows; the header is not among them.  Each
+    row is one %-format; a block whose text fields need quoting is written by
     ``csv.writer`` instead, which writes the same text for a row that needs none.
     """
-    yield REPORT_HEADER + "\n"
     records = report.records
     for start in range(0, len(records), _BLOCK_ROWS):
         block = records[start:start + _BLOCK_ROWS]
@@ -198,8 +208,8 @@ def report_blocks(report: ComparisonReport) -> Iterator[str]:
 
 
 def report_to_csv(report: ComparisonReport) -> str:
-    """The whole report_blocks text as one string."""
-    return "".join(report_blocks(report))
+    """The whole report as one string: the header, then the report_blocks text."""
+    return REPORT_HEADER + "\n" + "".join(report_blocks(report))
 
 
 def format_summary(report: ComparisonReport) -> str:

@@ -2,12 +2,14 @@ import csv
 import gc
 import json
 import os
+import random
 import re
 import shutil
 import stat
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from helpers import DATA_DIR, chain_tree
 from contexttrust import cli, dataset, evaluation, semantic, similarity
 from contexttrust.cli import main
-from contexttrust.errors import SchemaError
+from contexttrust.errors import MissingContextError, SchemaError
 from contexttrust.ontology import dump_tree, load_tree
 
 EVALFIX = DATA_DIR / "evalfix"
@@ -588,6 +590,79 @@ def test_eval_unencodable_name_in_the_second_block_exits_nonzero_and_spares_out(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "weighted.tsv"]
 
 
+THREE = ("weighted", "eq1", "shared")
+
+
+def fixture_pairs_in_blocks(capsys, tmp_path, monkeypatch, rows):
+    """eval args over 37 fixture pairs in random order, three measures, 7 rows a block.
+
+    7 rows a block is 2 pairs a block: 37 pairs leave a last block of one pair.
+    """
+    monkeypatch.setattr(evaluation, "_BLOCK_ROWS", 7)
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    fixture = cli._read_pairs(EVALFIX / "pairs.csv")
+    write_pairs(pairs, random.Random(5).choices(fixture, k=37) + rows)
+    argv = eval_args(tree, tmp_path / "report.csv", THREE)
+    argv[argv.index("--pairs") + 1] = pairs
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    return argv, (cli._load_profiles(args), load_tree(tree), list(THREE), cli._read_pairs(pairs))
+
+
+def test_eval_in_blocks_writes_and_summarizes_what_one_call_does(capsys, tmp_path, monkeypatch):
+    argv, inputs = fixture_pairs_in_blocks(capsys, tmp_path, monkeypatch, [])
+    whole = evaluation.run_comparison(*inputs)
+    assert len(whole.records) % evaluation._BLOCK_ROWS and len(whole.records) % 6
+    run_comparison, format_summary = evaluation.run_comparison, evaluation.format_summary
+    blocks, summaries = [], []
+
+    def scored(profiles, tree, measures, pairs, mode):
+        assert len(pairs) * len(measures) <= evaluation._BLOCK_ROWS
+        assert [block() for block in blocks] == [None] * len(blocks)  # each earlier one freed
+        report = run_comparison(profiles, tree, measures, pairs, mode)
+        blocks.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(evaluation, "run_comparison", scored)
+    monkeypatch.setattr(evaluation, "format_summary",
+                        lambda report: summaries.append(report) or format_summary(report))
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 0, stderr
+    assert len(blocks) == 19
+    assert (tmp_path / "report.csv").read_text(encoding="utf-8") == evaluation.report_to_csv(whole)
+    (summary,) = summaries
+    assert summary.mean_abs_error == whole.mean_abs_error
+    assert summary.rate_diff_error_pearson == whole.rate_diff_error_pearson is not None
+    assert stdout == format_summary(whole)
+
+
+def test_eval_pair_failing_in_the_last_block_spares_out_and_leaves_no_temp_file(
+    capsys, tmp_path, monkeypatch
+):
+    bad = ["techmart", "Laptop", "Books"]  # techmart has no Books ratings
+    argv, inputs = fixture_pairs_in_blocks(capsys, tmp_path, monkeypatch, [bad])
+    with pytest.raises(MissingContextError) as whole:
+        evaluation.run_comparison(*inputs)
+    report_path = tmp_path / "report.csv"
+    report_path.write_bytes(b"old report\n")
+    assert run(capsys, *argv) == (1, "", f"contexttrust: {whole.value}\n")
+    assert str(whole.value).startswith("pair (techmart, Laptop, Books): ")
+    assert report_path.read_bytes() == b"old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.csv", "report.csv", "weighted.tsv"]
+
+
+def test_eval_out_in_a_missing_directory_is_reported_before_a_bad_pair(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    write_pairs(pairs, [["techmart", "Laptop", "Books"]])
+    argv = eval_args(tree, tmp_path / "missing" / "report.csv")
+    argv[argv.index("--pairs") + 1] = pairs
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(r"contexttrust: \[Errno 2\] .*missing/\.report\.csv\.\w+\.tmp'\n", stderr)
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("argv, code", [
     (["sim", "--measure", "keyword", "a,b", "b,c"], 0),
@@ -630,7 +705,25 @@ def test_eval_empty_pairs_writes_header_only(capsys, tmp_path):
         "seller,known,unknown,measure,similarity,predicted,real,"
         "signed_error_pct,abs_error_pct,rate_difference"
     ]
-    assert "n/a" in stdout
+    assert stdout == (
+        "measure      mean_abs_error_pct\n"
+        "pearson(rate_difference, weighted abs error) = n/a\n"
+    )
+
+
+def test_eval_empty_pairs_still_refuses_a_repeated_measure(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("seller,known,unknown\n", encoding="utf-8")
+    report_path = tmp_path / "report.csv"
+    report_path.write_bytes(b"old report\n")
+    argv = eval_args(tree, report_path, ("weighted", "weighted"))
+    argv[argv.index("--pairs") + 1] = pairs
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert "must be distinct" in stderr
+    assert report_path.read_bytes() == b"old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.csv", "report.csv", "weighted.tsv"]
 
 
 def test_eval_no_eligible_sellers(capsys, tmp_path):
@@ -671,7 +764,7 @@ def test_read_pairs_skips_blank_rows_and_strips_fields(tmp_path):
 def test_read_pairs_refuses_a_row_with_two_columns(tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("seller,known,unknown\ns,Laptop,Books\ns,Laptop\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="row 3: expected 3 columns"):
+    with pytest.raises(SchemaError, match="line 3: expected 3 columns"):
         cli._read_pairs(pairs)
 
 
@@ -679,7 +772,20 @@ def test_read_pairs_refuses_a_row_with_two_columns(tmp_path):
 def test_read_pairs_refuses_a_row_with_a_blank_field(tmp_path, row):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text(f"seller,known,unknown\ns,Laptop,Books\n{row}\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match=r"pairs\.csv: row 3: a field is blank"):
+    with pytest.raises(SchemaError, match=r"pairs\.csv: line 3: a field is blank"):
+        cli._read_pairs(pairs)
+
+
+@pytest.mark.parametrize("row, fault", [
+    ("s, ,Books", "a field is blank"),
+    ("s,Books", "expected 3 columns, got 2"),
+])
+def test_read_pairs_names_a_fault_after_a_two_line_field_by_the_line_its_row_starts_on(
+    tmp_path, row, fault
+):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f'seller,known,unknown\ns,"Lap\ntop",Books\n{row}\n', encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"^{re.escape(str(pairs))}: line 4: {fault}$"):
         cli._read_pairs(pairs)
 
 
@@ -712,7 +818,7 @@ def test_both_csv_readers_give_one_fault_one_message(tmp_path, read, header, row
     text, message = {
         "empty": ("", "file is empty, expected header row"),
         "header": ("a,b\n", f"header must be {names}, got a,b"),
-        "short-row": (f"{names}\n{row}\nx\n", f"row 3: expected {len(header)} columns, got 1"),
+        "short-row": (f"{names}\n{row}\nx\n", f"line 3: expected {len(header)} columns, got 1"),
         "spaced-header": (" , ".join(header) + f" \n{row}\n", None),
     }[fault]
     path = tmp_path / "input.csv"

@@ -43,13 +43,19 @@ def test_parse_rejects_wrong_header():
 
 
 def test_parse_rejects_missing_column():
-    with pytest.raises(SchemaError, match="row 2"):
+    with pytest.raises(SchemaError, match="line 2"):
         parse_reviews(HEADER + "Laptop,4,x,y\n")
 
 
 def test_parse_rejects_out_of_range_rate():
-    with pytest.raises(RowError, match="row 3"):
+    with pytest.raises(RowError, match="line 3"):
         parse_reviews(HEADER + "Laptop,4,x,y,z\nLaptop,7,x,y,z\n")
+
+
+def test_parse_names_a_fault_after_a_two_line_field_by_the_line_its_row_starts_on():
+    text = HEADER + 'Laptop,4,x,"two\nlines",z\nLaptop,9,x,y,z\n'
+    with pytest.raises(RowError, match=r"^<string>: line 4: rate 9 outside 1\.\.5$"):
+        parse_reviews(text)
 
 
 def test_parse_rejects_non_integer_rate():

@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import statistics
+from array import array
 
 import pytest
 from hypothesis import assume, given
@@ -357,7 +358,7 @@ def test_report_csv_quotes_text_like_csv_writer():
         EvaluationRecord("s", 'say "hi"', "line\nbreak", "eq1", *numbers),
         EvaluationRecord("s", "carriage\rreturn", "c1", "eq1", *numbers),
     )
-    assert report_to_csv(ComparisonReport(records, {}, None)) == csv_writer_text(records)
+    assert report_to_csv(ComparisonReport(records, {}, array("d"))) == csv_writer_text(records)
 
 
 def block_records(count, last_text=None):
@@ -377,12 +378,12 @@ def test_report_csv_at_block_edges_equals_one_format_per_row(count, monkeypatch)
     monkeypatch.setattr(evaluation.csv, "writer", lambda *a, **k: pytest.fail("fallback ran"))
     records = block_records(count)
     expected = REPORT_HEADER + "\n" + "".join(evaluation._ROW % r for r in records)
-    assert report_to_csv(ComparisonReport(records, {}, None)) == expected
+    assert report_to_csv(ComparisonReport(records, {}, array("d"))) == expected
 
 
 def test_report_csv_quoting_in_the_last_block_switches_every_row():
     records = block_records(evaluation._BLOCK_ROWS + 1, ("s", "Books, used", "c1", "eq1"))
-    text = report_to_csv(ComparisonReport(records, {}, None))
+    text = report_to_csv(ComparisonReport(records, {}, array("d")))
     assert text == csv_writer_text(records)
     assert text.endswith('s,"Books, used",c1,eq1,0.720000,2.880000,2.500000,'
                          '7.600000,7.600000,1.000000\n')
@@ -411,11 +412,11 @@ def test_report_csv_quoting_in_one_early_block_equals_csv_writer_over_every_row(
     index = block * evaluation._BLOCK_ROWS + 7
     records[index] = EvaluationRecord('Smith, "Jr"', "c0", "Books, used", "eq1", *numbers)
     records = tuple(records)
-    blocks = list(report_blocks(ComparisonReport(records, {}, None)))
+    blocks = list(report_blocks(ComparisonReport(records, {}, array("d"))))
     monkeypatch.undo()
     assert written == [evaluation._BLOCK_ROWS]  # the other blocks stay one %-format a row
-    assert "".join(blocks) == csv_writer_text(records)
-    assert [len(b.splitlines()) for b in blocks] == [1] + [evaluation._BLOCK_ROWS] * 3
+    assert REPORT_HEADER + "\n" + "".join(blocks) == csv_writer_text(records)
+    assert [len(b.splitlines()) for b in blocks] == [evaluation._BLOCK_ROWS] * 3
 
 
 @pytest.mark.parametrize("records", [
@@ -424,10 +425,10 @@ def test_report_csv_quoting_in_one_early_block_equals_csv_writer_over_every_row(
     block_records(2 * evaluation._BLOCK_ROWS + 3, ('Smith, "Jr"', "c0", "c1", "eq1")),
 ])
 def test_report_to_csv_joins_the_report_blocks(records):
-    report = ComparisonReport(records, {}, None)
+    report = ComparisonReport(records, {}, array("d"))
     blocks = list(report_blocks(report))
-    assert blocks[0] == REPORT_HEADER + "\n"
-    assert report_to_csv(report) == "".join(blocks)
+    assert all(0 < len(b.splitlines()) <= evaluation._BLOCK_ROWS for b in blocks)
+    assert report_to_csv(report) == REPORT_HEADER + "\n" + "".join(blocks)
 
 
 def test_run_comparison_records_are_evaluation_records_of_ten_fields(small_setup):
