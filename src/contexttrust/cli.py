@@ -29,6 +29,7 @@ from .errors import ContextTrustError, DomainError, SchemaError, decode_input
 from .similarity import ALL_MEASURES, PathMode, TREE_MEASURES
 
 _PAIRS_HEADER = ("seller", "known", "unknown")
+_BLOCK_ROWS = 4096  # report rows eval scores, renders and holds at a time
 
 
 def _write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
@@ -93,7 +94,7 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
     weighted, annotations = ontology.weigh_tree(tree, provider, epsilon=args.epsilon)
     document = ontology.dump_tree(weighted)
     _write_atomic(args.out, [document])
-    for parent, child, weight in weighted.edge_list():
+    for (parent, child), weight in weighted.weights.items():
         print(f"{parent}\t{child}\t{weight:.6f}")
     for note in annotations:
         print(f"note: edge ({note.parent} -> {note.child}) forced to floor: {note.reason}")
@@ -148,7 +149,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     measures = args.measure or ["weighted", "eq1"]
     mode = PathMode(args.mode)
     pairs = _read_pairs(args.pairs)
-    step = max(1, evaluation._BLOCK_ROWS // len(measures))  # pairs a block
+    step = max(1, _BLOCK_ROWS // len(measures))  # pairs a block
     # The summary's inputs, in row order, gathered from every block's report.
     summary = evaluation.ComparisonReport((), {m: array("d") for m in measures}, array("d"))
 
@@ -158,7 +159,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for measure, errors in report.errors.items():
             summary.errors[measure].extend(errors)
         summary.differences.extend(report.differences)
-        return "".join(evaluation.report_blocks(report))
+        return evaluation.report_rows(report)
 
     # At least one block, so that an empty pairs file still has its measures checked.
     blocks = map(score, range(0, max(len(pairs), 1), step))

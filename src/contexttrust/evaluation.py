@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .dataset import RATE_MAX, RATE_MIN, TrustProfile
 from .errors import (
@@ -53,7 +53,6 @@ class EvaluationRecord(NamedTuple):
 
 REPORT_HEADER = ",".join(EvaluationRecord._fields)
 _ROW = ",".join(["%s"] * 4 + ["%.6f"] * 6) + "\n"
-_BLOCK_ROWS = 4096  # rows rendered and joined at a time; eval scores and holds no more
 
 
 @dataclass(frozen=True)
@@ -187,29 +186,26 @@ def run_comparison(
     return ComparisonReport(tuple(records), errors, differences)
 
 
-def report_blocks(report: ComparisonReport) -> Iterator[str]:
-    """The CSV text of the report's rows (floats at 6 decimal places), in blocks.
+def report_rows(report: ComparisonReport) -> str:
+    """The CSV text of the report's rows (floats at 6 decimal places), with no header.
 
-    Each block holds at most ``_BLOCK_ROWS`` rows; the header is not among them.  Each
-    row is one %-format; a block whose text fields need quoting is written by
+    Each row is one %-format; a report whose text fields need quoting is written by
     ``csv.writer`` instead, which writes the same text for a row that needs none.
     """
     records = report.records
-    for start in range(0, len(records), _BLOCK_ROWS):
-        block = records[start:start + _BLOCK_ROWS]
-        text, rows = "".join(map(_ROW.__mod__, block)), len(block)
-        # Numbers render without commas, quotes or line breaks: any extra one is in a text field.
-        if '"' in text or "\r" in text or text.count(",") != 9 * rows or text.count("\n") != rows:
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerows([*r[:4], *("%.6f" % v for v in r[4:])] for r in block)
-            text = buffer.getvalue()
-        yield text
+    text, rows = "".join(map(_ROW.__mod__, records)), len(records)
+    # Numbers render without commas, quotes or line breaks: any extra one is in a text field.
+    if '"' in text or "\r" in text or text.count(",") != 9 * rows or text.count("\n") != rows:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerows([*r[:4], *("%.6f" % v for v in r[4:])] for r in records)
+        text = buffer.getvalue()
+    return text
 
 
 def report_to_csv(report: ComparisonReport) -> str:
-    """The whole report as one string: the header, then the report_blocks text."""
-    return REPORT_HEADER + "\n" + "".join(report_blocks(report))
+    """The whole report as one string: the header, then the report_rows text."""
+    return REPORT_HEADER + "\n" + report_rows(report)
 
 
 def format_summary(report: ComparisonReport) -> str:

@@ -72,11 +72,7 @@ class OntologyTree:
 
     root: str
     parents: dict[str, str]
-    weights: dict[Edge, Optional[float]]
-
-    @property
-    def nodes(self) -> set[str]:
-        return self.parents.keys() | {self.root}
+    weights: dict[Edge, Optional[float]]  # every edge, in document order
 
     @cached_property
     def _root_paths(self) -> dict[str, RootPath]:
@@ -92,19 +88,19 @@ class OntologyTree:
 
         ``lone_root`` declares a single-node tree and excludes any edges.
         """
-        edge_list = list(edges)
+        edges = list(edges)
         if lone_root is not None:
-            if edge_list:
+            if edges:
                 raise TreeValidationError(f"isolated root {lone_root!r} declared alongside edges")
             _check_label(lone_root, head=True)
             return cls(root=lone_root, parents={}, weights={})
-        if not edge_list:
+        if not edges:
             raise TreeValidationError("tree has no nodes")
 
         parents: dict[str, str] = {}
         children: dict[str, list[str]] = {}
         weights: dict[Edge, Optional[float]] = {}
-        for parent, child, weight in edge_list:
+        for parent, child, weight in edges:
             _check_label(parent, head=True)
             _check_label(child, head=False)
             if parent == child:
@@ -144,10 +140,6 @@ class OntologyTree:
             )
 
         return cls(root=root, parents=parents, weights=weights)
-
-    def edge_list(self) -> list[tuple[str, str, Optional[float]]]:
-        """Edges with weights, in document (insertion) order."""
-        return [(p, c, w) for (p, c), w in self.weights.items()]
 
     def require(self, node_id: str) -> str:
         if node_id != self.root and node_id not in self.parents:
@@ -201,7 +193,7 @@ def dump_tree(tree: OntologyTree) -> str:
     """Serialize a tree back to the document format (weights at full precision)."""
     if not tree.weights:
         return tree.root + "\n"
-    lines = [f"{p}\t{c}" if w is None else f"{p}\t{c}\t{w!r}" for p, c, w in tree.edge_list()]
+    lines = [f"{p}\t{c}" if w is None else f"{p}\t{c}\t{w!r}" for (p, c), w in tree.weights.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -271,7 +263,7 @@ def weigh_tree(
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
     weights: dict[Edge, Optional[float]] = {}
     annotations: list[EdgeAnnotation] = []
-    for parent, child, _ in tree.edge_list():
+    for parent, child in tree.weights:
         try:
             counts = provider.counts(parent, child)
         except ContextTrustError as exc:

@@ -30,9 +30,14 @@ def chain_tree(weights: list[Optional[float]]) -> OntologyTree:
     return OntologyTree.from_edges(edges)
 
 
+def tree_nodes(tree: OntologyTree) -> set[str]:
+    """Every node of the tree: each child, and the root."""
+    return tree.parents.keys() | {tree.root}
+
+
 def brute_force_simple_paths(tree: OntologyTree, a: str, b: str) -> list[list[str]]:
     """All simple a-b paths found by exhaustive DFS on the undirected edges."""
-    adjacency: dict[str, set[str]] = {name: set() for name in tree.nodes}
+    adjacency: dict[str, set[str]] = {name: set() for name in tree_nodes(tree)}
     for child, parent in tree.parents.items():
         adjacency[child].add(parent)
         adjacency[parent].add(child)
@@ -98,7 +103,7 @@ def random_tree(draw, max_nodes: int = 50, weighted: bool = False) -> OntologyTr
 def tree_with_pair(draw, max_nodes: int = 50, weighted: bool = False):
     """(tree, a, b) with a and b drawn from the tree's nodes."""
     tree = draw(random_tree(max_nodes, weighted))
-    names = sorted(tree.nodes)
+    names = sorted(tree_nodes(tree))
     a = draw(st.sampled_from(names))
     b = draw(st.sampled_from(names))
     return tree, a, b

@@ -151,7 +151,7 @@ def recording_provider(monkeypatch, fail_after=None):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_weigh_resumes_from_cache_after_a_kill(capsys, tmp_path, monkeypatch, k):
     tree = EVALFIX / "store_tree.tsv"
-    edges = [(p, c) for p, c, _ in load_tree(tree).edge_list()]
+    edges = list(load_tree(tree).weights)
     reference, out, cache = tmp_path / "reference.tsv", tmp_path / "out.tsv", tmp_path / "cache.tsv"
     weigh = ["weigh", "--tree", tree, "--provider", EVALFIX / "provider.json"]
     code, expected_stdout, stderr = run(capsys, *weigh, "--out", reference)
@@ -514,7 +514,7 @@ def test_write_atomic_encoding_failure_past_the_first_slice_keeps_the_old_file(t
 
 
 def test_write_atomic_makes_no_whole_copy_of_the_text(tmp_path):
-    # Callers bound each chunk (report_blocks, 4096 rows), so the chunks must not be joined.
+    # eval bounds each chunk (one block, cli._BLOCK_ROWS rows), so the chunks must not be joined.
     text = "0123456789abcde\n" * (1 << 19)  # 8 MiB
     chunks = (text[start:start + (1 << 16)] for start in range(0, len(text), 1 << 16))
     tracemalloc.start()
@@ -535,6 +535,78 @@ def test_write_atomic_writes_its_chunks_in_order(tmp_path):
     cli._write_atomic(target, iter(chunks))
     assert target.read_bytes() == "".join(chunks).encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["chunks.csv"]
+
+
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(semantic.__file__).parents[1]))
+# Scripts that run eval through cli.main in a child process with os.fsync wrapped, which
+# _write_atomic calls once its sibling is written and before it replaces --out.
+BOTH_WRITING = """
+import os, sys, time
+from pathlib import Path
+from contexttrust import cli
+barrier, fsync = Path(sys.argv[1]), os.fsync  # a directory each run marks itself in
+def fsync_once_both_write(fd):  # hold each run in _write_atomic until both are in it
+    (barrier / str(os.getpid())).touch()
+    deadline = time.monotonic() + 30
+    while len(list(barrier.iterdir())) < 2 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    fsync(fd)
+os.fsync = fsync_once_both_write
+sys.exit(cli.main(sys.argv[2:]))
+"""
+HANGING = """
+import os, sys, time
+from contexttrust import cli
+def hang(fd):
+    print("in _write_atomic", flush=True)
+    time.sleep(60)
+os.fsync = hang
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_two_runs_writing_one_out_leave_one_whole_report_and_no_sibling(capsys, tmp_path):
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    out, barrier = tmp_path / "report.csv", tmp_path / "barrier"
+    barrier.mkdir()
+    runs = [eval_args(tree, out, measures) for measures in (("weighted",), ("eq1", "shared"))]
+    expected = []
+    for argv in runs:  # each report alone, written in this process
+        assert run(capsys, *argv)[0] == 0
+        expected.append(out.read_text(encoding="utf-8"))
+    assert expected[0] != expected[1]
+    out.unlink()
+    children = [
+        subprocess.Popen([sys.executable, "-c", BOTH_WRITING, str(barrier), *map(str, argv)],
+                         env=CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for argv in runs
+    ]
+    results = [child.communicate(timeout=60) for child in children]
+    assert [child.returncode for child in children] == [0, 0], results
+    assert len(list(barrier.iterdir())) == 2  # both were inside _write_atomic at once
+    assert out.read_text(encoding="utf-8") in expected
+    assert not list(tmp_path.glob(".report.csv.*.tmp"))
+
+
+def test_run_killed_inside_write_atomic_leaves_out_and_its_own_sibling(capsys, tmp_path):
+    # SIGKILL runs no finally: the sibling stays, and no later run deletes another's sibling.
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    out = tmp_path / "report.csv"
+    argv = [str(a) for a in eval_args(tree, out)]
+    assert run(capsys, *argv)[0] == 0
+    report = out.read_bytes()
+    out.write_bytes(b"old report\n")
+    child = subprocess.Popen([sys.executable, "-c", HANGING, *argv],
+                             env=CHILD_ENV, stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "in _write_atomic\n"
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    assert out.read_bytes() == b"old report\n"
+    (sibling,) = tmp_path.glob(".report.csv.*.tmp")
+    assert sibling.read_bytes() == report  # written and flushed, never renamed
 
 
 def write_pairs(path, rows):
@@ -564,10 +636,50 @@ def test_eval_report_over_several_blocks_with_a_quoted_seller(capsys, tmp_path):
     report = evaluation.run_comparison(
         cli._load_profiles(args), load_tree(tree), ["weighted", "eq1"], cli._read_pairs(pairs)
     )
-    assert len(report.records) > 2 * evaluation._BLOCK_ROWS
+    assert len(report.records) > 2 * cli._BLOCK_ROWS
     expected = evaluation.report_to_csv(report)
     assert report_path.read_text(encoding="utf-8") == expected
     assert expected.count('"Smith, ""Jr""",') == 4 * len(smith)
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_report_csv_quoting_in_one_early_block_equals_csv_writer_over_every_row(
+    block, capsys, tmp_path, monkeypatch
+):
+    # Three blocks of two pairs; only the first, or only the middle one, holds the quoted seller.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    rows = [("pageturner", "Books", "Electronics"), ("allgoods", "Laptop", "Books")] * 3
+    rows[2 * block] = (SMITH, "Laptop", "Computers")
+    pairs = tmp_path / "pairs.csv"
+    write_pairs(pairs, rows)
+    report_path = tmp_path / "report.csv"
+    argv = eval_args(tree, report_path)
+    techmart = argv.index(f"techmart={EVALFIX / 'techmart.csv'}")
+    argv[techmart] = f"{SMITH}={EVALFIX / 'techmart.csv'}"
+    argv[argv.index("--pairs") + 1] = pairs
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    whole = evaluation.run_comparison(
+        cli._load_profiles(args), load_tree(tree), ["weighted", "eq1"], cli._read_pairs(pairs)
+    )
+    expected = evaluation.report_to_csv(whole)  # csv.writer over every row
+    assert expected.count('"Smith, ""Jr""",') == 2
+    written = []
+
+    class CountingWriter:
+        def __init__(self, *args, **kwargs):
+            self.writer = csv_writer(*args, **kwargs)
+
+        def writerows(self, rows):
+            rows = list(rows)
+            written.append(len(rows))
+            self.writer.writerows(rows)
+
+    csv_writer = evaluation.csv.writer
+    monkeypatch.setattr(evaluation.csv, "writer", CountingWriter)
+    assert run(capsys, *argv)[0] == 0
+    assert written == [cli._BLOCK_ROWS]  # the other blocks stay one %-format a row
+    assert report_path.read_text(encoding="utf-8") == expected
 
 
 def test_eval_unencodable_name_in_the_second_block_exits_nonzero_and_spares_out(
@@ -576,7 +688,7 @@ def test_eval_unencodable_name_in_the_second_block_exits_nonzero_and_spares_out(
     # A lone surrogate can come from argv; the report's first block is written before it fails.
     tree, _ = weigh_fixture_tree(capsys, tmp_path)
     name = "s\ud800"
-    pairs = [("techmart", "Laptop", "Computers")] * (evaluation._BLOCK_ROWS // 2)
+    pairs = [("techmart", "Laptop", "Computers")] * (cli._BLOCK_ROWS // 2)
     pairs.append((name, "Laptop", "Computers"))
     monkeypatch.setattr(cli, "_read_pairs", lambda path: pairs)
     report_path = tmp_path / "report.csv"
@@ -598,7 +710,7 @@ def fixture_pairs_in_blocks(capsys, tmp_path, monkeypatch, rows):
 
     7 rows a block is 2 pairs a block: 37 pairs leave a last block of one pair.
     """
-    monkeypatch.setattr(evaluation, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
     tree, _ = weigh_fixture_tree(capsys, tmp_path)
     pairs = tmp_path / "pairs.csv"
     fixture = cli._read_pairs(EVALFIX / "pairs.csv")
@@ -612,12 +724,12 @@ def fixture_pairs_in_blocks(capsys, tmp_path, monkeypatch, rows):
 def test_eval_in_blocks_writes_and_summarizes_what_one_call_does(capsys, tmp_path, monkeypatch):
     argv, inputs = fixture_pairs_in_blocks(capsys, tmp_path, monkeypatch, [])
     whole = evaluation.run_comparison(*inputs)
-    assert len(whole.records) % evaluation._BLOCK_ROWS and len(whole.records) % 6
+    assert len(whole.records) % cli._BLOCK_ROWS and len(whole.records) % 6
     run_comparison, format_summary = evaluation.run_comparison, evaluation.format_summary
     blocks, summaries = [], []
 
     def scored(profiles, tree, measures, pairs, mode):
-        assert len(pairs) * len(measures) <= evaluation._BLOCK_ROWS
+        assert len(pairs) * len(measures) <= cli._BLOCK_ROWS
         assert [block() for block in blocks] == [None] * len(blocks)  # each earlier one freed
         report = run_comparison(profiles, tree, measures, pairs, mode)
         blocks.append(weakref.ref(report))
@@ -990,10 +1102,20 @@ def test_missing_input_file_exits_nonzero(capsys, tmp_path):
     assert stderr.startswith("contexttrust:")
 
 
+def test_python_dash_m_runs_main():
+    result = subprocess.run(
+        [sys.executable, "-m", "contexttrust.cli", "counts",
+         "--provider", str(EVALFIX / "provider.json"), "portables", "laptop"],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "1000\t10000\t1000\t10000000000000\n", ""
+    )
+
+
 def test_importing_the_cli_leaves_urllib_request_unloaded():
     # Only a remote query over the default transport needs urllib.request.
-    env = dict(os.environ, PYTHONPATH=str(Path(semantic.__file__).parents[1]))
     script = "import sys, contexttrust.cli; print('urllib.request' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout == "False\n"

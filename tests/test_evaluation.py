@@ -18,7 +18,7 @@ from contexttrust.errors import (
     UnknownNodeError,
     UnknownSellerError,
 )
-from contexttrust import evaluation
+from contexttrust import cli, evaluation
 from contexttrust.evaluation import (
     REPORT_HEADER,
     ComparisonReport,
@@ -27,7 +27,6 @@ from contexttrust.evaluation import (
     format_summary,
     pearson,
     predict_for_pair,
-    report_blocks,
     report_to_csv,
     run_comparison,
 )
@@ -370,9 +369,8 @@ def block_records(count, last_text=None):
     return tuple(records)
 
 
-@pytest.mark.parametrize("count", [
-    0, 1, evaluation._BLOCK_ROWS - 1, evaluation._BLOCK_ROWS, evaluation._BLOCK_ROWS + 1,
-])
+# Sizes at the edge of eval's block, which cli cuts before the report is rendered.
+@pytest.mark.parametrize("count", [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
 def test_report_csv_at_block_edges_equals_one_format_per_row(count, monkeypatch):
     # The csv.writer fallback would mend a lost or doubled row, so it must not run here.
     monkeypatch.setattr(evaluation.csv, "writer", lambda *a, **k: pytest.fail("fallback ran"))
@@ -382,53 +380,11 @@ def test_report_csv_at_block_edges_equals_one_format_per_row(count, monkeypatch)
 
 
 def test_report_csv_quoting_in_the_last_block_switches_every_row():
-    records = block_records(evaluation._BLOCK_ROWS + 1, ("s", "Books, used", "c1", "eq1"))
+    records = block_records(cli._BLOCK_ROWS + 1, ("s", "Books, used", "c1", "eq1"))
     text = report_to_csv(ComparisonReport(records, {}, array("d")))
     assert text == csv_writer_text(records)
     assert text.endswith('s,"Books, used",c1,eq1,0.720000,2.880000,2.500000,'
                          '7.600000,7.600000,1.000000\n')
-
-
-@pytest.mark.parametrize("block", [0, 1])
-def test_report_csv_quoting_in_one_early_block_equals_csv_writer_over_every_row(
-    block, monkeypatch
-):
-    # Three blocks; only the first, or only the middle one, needs quoting.
-    written = []
-
-    class CountingWriter:
-        def __init__(self, *args, **kwargs):
-            self.writer = csv_writer(*args, **kwargs)
-
-        def writerows(self, rows):
-            rows = list(rows)
-            written.append(len(rows))
-            self.writer.writerows(rows)
-
-    csv_writer = evaluation.csv.writer
-    monkeypatch.setattr(evaluation.csv, "writer", CountingWriter)
-    records = list(block_records(3 * evaluation._BLOCK_ROWS))
-    numbers = records[0][4:]
-    index = block * evaluation._BLOCK_ROWS + 7
-    records[index] = EvaluationRecord('Smith, "Jr"', "c0", "Books, used", "eq1", *numbers)
-    records = tuple(records)
-    blocks = list(report_blocks(ComparisonReport(records, {}, array("d"))))
-    monkeypatch.undo()
-    assert written == [evaluation._BLOCK_ROWS]  # the other blocks stay one %-format a row
-    assert REPORT_HEADER + "\n" + "".join(blocks) == csv_writer_text(records)
-    assert [len(b.splitlines()) for b in blocks] == [evaluation._BLOCK_ROWS] * 3
-
-
-@pytest.mark.parametrize("records", [
-    (),
-    block_records(evaluation._BLOCK_ROWS + 1),
-    block_records(2 * evaluation._BLOCK_ROWS + 3, ('Smith, "Jr"', "c0", "c1", "eq1")),
-])
-def test_report_to_csv_joins_the_report_blocks(records):
-    report = ComparisonReport(records, {}, array("d"))
-    blocks = list(report_blocks(report))
-    assert all(0 < len(b.splitlines()) <= evaluation._BLOCK_ROWS for b in blocks)
-    assert report_to_csv(report) == REPORT_HEADER + "\n" + "".join(blocks)
 
 
 def test_run_comparison_records_are_evaluation_records_of_ten_fields(small_setup):

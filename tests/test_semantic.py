@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import contexttrust
 from helpers import DATA_DIR, valid_hit_counts
+from contexttrust import semantic
 from contexttrust.errors import (
     ConfigError,
     CorpusError,
@@ -242,6 +243,27 @@ def test_corpus_counts_unreadable_document(tmp_path):
     bad.write_bytes(b"\xff\xfe invalid")
     with pytest.raises(CorpusError, match="bad.txt"):
         CorpusProvider(tmp_path).counts("a", "b")
+
+
+def test_corpus_document_unreadable_after_the_listing_is_named(tmp_path, monkeypatch):
+    # The document is listed as a file, then swapped for a directory before it is read.
+    (tmp_path / "a.txt").write_text("alpha", encoding="utf-8")
+    swapped = tmp_path / "b.txt"
+    swapped.write_text("beta", encoding="utf-8")
+    is_file = semantic._is_file
+
+    def listed_then_swapped(entry):
+        listed = is_file(entry)
+        if entry.name == swapped.name:
+            swapped.unlink()
+            swapped.mkdir()
+        return listed
+
+    monkeypatch.setattr(semantic, "_is_file", listed_then_swapped)
+    with pytest.raises(CorpusError) as raised:
+        CorpusProvider(tmp_path).counts("alpha", "beta")
+    assert str(raised.value).startswith(f"cannot read corpus document {swapped}: ")
+    assert isinstance(raised.value.__cause__, IsADirectoryError)
 
 
 def test_corpus_document_set_is_fixed_at_first_lookup(tiny_corpus):

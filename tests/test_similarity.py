@@ -12,6 +12,7 @@ from helpers import (
     chain_tree,
     oriented_edges,
     tree_edge_lists,
+    tree_nodes,
     tree_with_pair,
 )
 from contexttrust.errors import (
@@ -129,7 +130,7 @@ def tree_pair_that_may_underflow(draw):
     edges = draw(tree_edge_lists(max_nodes=30))
     weight = st.one_of(st.floats(min_value=0.05, max_value=0.95), st.floats(1e-300, 1e-100))
     tree = OntologyTree.from_edges([(parent, child, draw(weight)) for parent, child, _ in edges])
-    names = sorted(tree.nodes)
+    names = sorted(tree_nodes(tree))
     return tree, draw(st.sampled_from(names)), draw(st.sampled_from(names))
 
 
