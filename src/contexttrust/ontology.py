@@ -9,6 +9,8 @@ is inferred as the unique node that never appears as a child.
 Loaded trees are immutable; every operation that "changes" a tree returns a
 new one.  Path queries fill a per-tree memo of root paths whose entries are
 idempotent, so concurrent reads need no coordination: a race computes one twice.
+Each tree also keeps the last pair it met, keyed by the identity of the two names,
+in one slot that a single assignment replaces: a race only bisects a pair again.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .semantic import DEFAULT_EPSILON, CountProvider, nss
 
 Edge = tuple[str, str]
 RootPath = tuple[tuple[str, ...], tuple[Optional[float], ...]]  # nodes, edge weights; root first
+Meet = tuple[RootPath, RootPath, int]  # a's root path, b's, and their common ancestor's depth
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,11 @@ def _check_label(name: str, head: bool) -> None:
 class OntologyTree:
     """A validated rooted tree.  ``_root_paths`` memoises each queried node's root path and
     its edge weights, root first: one O(depth) climb at a node's first query, O(queried nodes
-    x depth) memory in all.  A tree made by ``replace`` (as ``weigh_tree`` returns) starts an
-    empty memo of its own."""
+    x depth) memory in all.  ``_last_meet`` holds one ``(a, b, meet)`` entry, the last pair
+    met: O(1) memory.  A query hits it only when a and b are the entry's own string objects,
+    which the entry keeps alive, so a hit is never another pair's; it is replaced by one
+    assignment, so a concurrent reader sees a whole entry and a race costs one bisection.  A
+    tree made by ``replace`` (as ``weigh_tree`` returns) starts both memos empty."""
 
     root: str
     parents: dict[str, str]
@@ -77,6 +83,10 @@ class OntologyTree:
     @cached_property
     def _root_paths(self) -> dict[str, RootPath]:
         return {}
+
+    @cached_property
+    def _last_meet(self) -> list[tuple[Optional[str], Optional[str], Optional[Meet]]]:
+        return [(None, None, None)]
 
     @classmethod
     def from_edges(
@@ -208,8 +218,12 @@ def _remember(tree: OntologyTree, node: str) -> RootPath:
     return entry
 
 
-def _meet(tree: OntologyTree, a: str, b: str) -> tuple[RootPath, RootPath, int]:
+def _meet(tree: OntologyTree, a: str, b: str) -> Meet:
     """a's and b's root paths and edge weights (root first), and their common ancestor's depth."""
+    last = tree._last_meet
+    last_a, last_b, meet = last[0]
+    if a is last_a and b is last_b:
+        return meet
     memo = tree._root_paths
     entry_a = memo.get(a) or _remember(tree, a)
     entry_b = memo.get(b) or _remember(tree, b)
@@ -222,7 +236,9 @@ def _meet(tree: OntologyTree, a: str, b: str) -> tuple[RootPath, RootPath, int]:
             low = middle
         else:
             high = middle
-    return entry_a, entry_b, low
+    meet = entry_a, entry_b, low
+    last[0] = (a, b, meet)  # one assignment: a reader sees the old entry or the new one
+    return meet
 
 
 def path_between(tree: OntologyTree, a: str, b: str) -> NodePath:

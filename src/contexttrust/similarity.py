@@ -123,6 +123,8 @@ def tree_measure(
     Read from this module's namespace at each call, so a wrapper put there is returned.
     """
     if measure == "weighted":
+        if mode is PathMode.PRODUCT:  # the default: no partial between a caller and the measure
+            return weighted_path_similarity
         return partial(weighted_path_similarity, mode=mode)
     if measure == "eq1":
         return inverse_distance_similarity

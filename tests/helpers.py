@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from contexttrust.dataset import REVIEW_HEADER
 from contexttrust.ontology import OntologyTree
+from contexttrust.similarity import PathMode
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -80,6 +81,23 @@ def brute_force_root_walk(tree: OntologyTree, node: str) -> list[str]:
 def brute_force_root_set(tree: OntologyTree, node: str) -> set[str]:
     """The nodes of node's inclusive root path."""
     return set(brute_force_root_walk(tree, node))
+
+
+def brute_force_measures(tree: OntologyTree, a: str, b: str, mode: PathMode) -> dict[str, float]:
+    """Each tree measure of a and b on a tree whose every edge is weighted, by name.
+
+    The weights multiply left to right along the one simple a-b path, from 1.0.
+    """
+    nodes = brute_force_unique_path(tree, a, b)
+    product = 1.0
+    for edge in oriented_edges(tree, nodes):
+        product *= tree.weights[edge]
+    root_a, root_b = brute_force_root_set(tree, a), brute_force_root_set(tree, b)
+    return {
+        "weighted": product if mode is PathMode.PRODUCT else 1.0 / product,
+        "eq1": 1.0 / max(1, len(nodes) - 2),
+        "shared": len(root_a & root_b) / len(root_a | root_b),
+    }
 
 
 @st.composite

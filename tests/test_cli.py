@@ -456,6 +456,38 @@ def test_eval_fixture_three_measures_match_golden_files(capsys, tmp_path):
     assert stdout == (EVALFIX / "summary_shared.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("mode", list(similarity.PathMode))
+def test_eval_scores_each_row_by_one_call_through_the_similarity_namespace(
+    capsys, tmp_path, monkeypatch, mode
+):
+    # A tracer counts measure calls by wrapping these names in similarity (bench/tracing.py):
+    # eval must reach them there, one call per report row.
+    calls, wrappers = {}, {}
+    for measure, name in (("weighted", "weighted_path_similarity"),
+                          ("eq1", "inverse_distance_similarity"), ("shared", "shared_path_ratio")):
+        def counted(*args, measure=measure, original=getattr(similarity, name), **kwargs):
+            calls[measure] = calls.get(measure, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(similarity, name, counted)
+        wrappers[measure] = counted
+    for path_mode in similarity.PathMode:
+        for measure, wrapper in wrappers.items():
+            scorer = similarity.tree_measure(measure, path_mode)
+            if measure == "weighted" and path_mode is similarity.PathMode.RECIPROCAL:
+                assert scorer.keywords == {"mode": path_mode}
+                scorer = scorer.func  # the mode rides on a partial of the wrapped name
+            assert scorer is wrapper
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    report_path = tmp_path / "report.csv"
+    args = eval_args(tree, report_path, ("weighted", "eq1", "shared"))
+    code, _, stderr = run(capsys, *args, "--mode", mode.value)
+    assert code == 0, stderr
+    rows = report_path.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 15
+    assert calls == {measure: 5 for measure in wrappers}
+    assert sum(calls.values()) == len(rows)
+
+
 def test_eval_runs_are_byte_identical(capsys, tmp_path):
     tree, _ = weigh_fixture_tree(capsys, tmp_path)
     first = tmp_path / "r1.csv"

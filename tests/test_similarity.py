@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    brute_force_measures,
     brute_force_root_set,
     brute_force_unique_path,
     chain_tree,
     oriented_edges,
+    random_tree,
     tree_edge_lists,
     tree_nodes,
     tree_with_pair,
@@ -26,6 +30,7 @@ from contexttrust import evaluation, similarity
 from contexttrust.dataset import Review, build_profiles
 from contexttrust.ontology import (
     OntologyTree,
+    _meet,
     intermediate_count,
     parse_tree,
     path_between,
@@ -499,6 +504,104 @@ def test_path_queries_and_measures_match_parent_pointer_walks(tree_pairs):
             assert _outcome(weighted_path_similarity, tree, a, b, mode) == expected["weighted"]
             for measure in TREE_MEASURES:
                 assert _outcome(tree_measure(measure, mode), tree, a, b) == expected[measure]
+
+
+# --- the last pair met ------------------------------------------------------------------
+
+@st.composite
+def tree_with_call_sequence(draw):
+    """A weighted tree and the (a, b) pairs of a run of queries on it, in call order.
+
+    A pair may repeat an earlier one (the same string objects), put a node beside itself,
+    or hold the root; a name may be a copy, equal to the node's name but another object.
+    """
+    tree = draw(random_tree(max_nodes=20, weighted=True))
+    names = sorted(tree_nodes(tree))
+    copies = {name: "".join(list(name)) for name in names}  # every name has 2+ characters
+    assert all(copies[name] is not name for name in names)
+    node = st.sampled_from(names) | st.just(tree.root)
+    step = st.tuples(node, st.none() | node, st.booleans(), st.booleans(), st.none() | st.integers(0, 99))
+    pairs = []
+    for a, b, copy_a, copy_b, again in draw(st.lists(step, min_size=1, max_size=12)):
+        if again is not None and pairs:
+            pairs.append(pairs[again % len(pairs)])
+            continue
+        b = a if b is None else b
+        pairs.append((copies[a] if copy_a else a, copies[b] if copy_b else b))
+    return tree, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_with_call_sequence())
+def test_last_pair_met_never_answers_for_another_pair(tree_pairs):
+    # Each measure in each mode, then the next pair: most calls read the last pair's meet.
+    tree, pairs = tree_pairs
+    for a, b in pairs:
+        assert path_between(tree, a, b).nodes == tuple(brute_force_unique_path(tree, a, b))
+        for mode in PathMode:
+            expected = brute_force_measures(tree, a, b, mode)
+            for measure in TREE_MEASURES:
+                assert tree_measure(measure, mode)(tree, a, b) == expected[measure]
+
+
+def test_one_pair_met_twice_is_one_meet():
+    tree = chain_tree([0.9, 0.8, 0.7])
+    assert _meet(tree, "c1", "c3") is _meet(tree, "c1", "c3")
+
+
+@pytest.mark.parametrize("measure", TREE_MEASURES)
+def test_unknown_node_raises_right_after_the_last_pair_is_read(measure):
+    tree, score = chain_tree([0.9, 0.8]), tree_measure(measure)
+    first = score(tree, "c0", "c2")
+    assert score(tree, "c0", "c2") == first
+    with pytest.raises(UnknownNodeError, match="'ghost'"):
+        score(tree, "c0", "ghost")
+    with pytest.raises(UnknownNodeError, match="'ghost'"):
+        score(tree, "ghost", "c2")
+    assert score(tree, "c0", "c2") == first
+
+
+def test_threads_sharing_one_tree_each_get_their_own_pairs_measures():
+    # More threads than cores and a tiny switch interval, so that threads swap between
+    # reading the last pair and replacing it; an entry torn across two pairs shows here.
+    rng = random.Random(7)
+    tree = OntologyTree.from_edges(
+        (f"n{rng.randrange(i)}", f"n{i}", rng.uniform(0.05, 0.95)) for i in range(1, 200)
+    )
+    names = sorted(tree_nodes(tree))
+    pairs = [(rng.choice(names), rng.choice(names)) for _ in range(8)]
+    expected = {pair: brute_force_measures(tree, *pair, PathMode.PRODUCT) for pair in pairs}
+    faults = []
+
+    def query(order):  # every thread queries the same pairs, each in its own order
+        for _ in range(300):
+            for pair in order:
+                got = {m: tree_measure(m)(tree, *pair) for m in TREE_MEASURES}
+                if got != expected[pair]:
+                    faults.append((pair, got))
+
+    orders = [rng.sample(pairs, len(pairs)) for _ in range(6)]
+    threads = [threading.Thread(target=query, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert faults == []
+
+
+def test_replaced_tree_starts_without_a_last_pair():
+    tree = chain_tree([0.5, 0.5])
+    assert weighted_path_similarity(tree, "c0", "c2") == 0.25
+    heavier = replace(tree, weights=dict.fromkeys(tree.weights, 0.9))
+    assert "_last_meet" not in vars(heavier)
+    assert weighted_path_similarity(heavier, "c0", "c2") == 0.9 * 0.9
+    assert weighted_path_similarity(tree, "c0", "c2") == 0.25
 
 
 # --- tree_measure -----------------------------------------------------------------------
