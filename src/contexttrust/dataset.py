@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -43,6 +44,11 @@ class ContextRatings:
 class TrustProfile:
     seller: str
     contexts: dict[str, ContextRatings]
+
+    @cached_property
+    def rates(self) -> dict[str, float]:
+        """Each context's aggregate, by context, in one plain map built at first use."""
+        return {context: ratings.aggregate for context, ratings in self.contexts.items()}
 
     def aggregate(self, context: str) -> float:
         if context not in self.contexts:
@@ -91,6 +97,7 @@ def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list
     ``source`` names the text in error messages.
     """
     prefix = f"{source} (seller {seller})" if seller else source
+    review = partial(tuple.__new__, Review)  # the C constructor, not the generated __new__
     reviews: list[Review] = []
     for number, (context, rate_text, date, description, link) in csv_rows(
         text, prefix, REVIEW_HEADER
@@ -106,7 +113,7 @@ def parse_reviews(text: str, seller: str = "", source: str = "<string>") -> list
             ) from None
         if not RATE_MIN <= rate <= RATE_MAX:
             raise RowError(f"{prefix}: line {number}: rate {rate} outside {RATE_MIN}..{RATE_MAX}")
-        reviews.append(Review(context, rate, date, description, link))
+        reviews.append(review((context, rate, date, description, link)))
     return reviews
 
 

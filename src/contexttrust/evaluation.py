@@ -107,7 +107,7 @@ def predict_for_pair(
     measure: str,
     known: str,
     unknown: str,
-    mode: PathMode = PathMode.PRODUCT,
+    mode: PathMode | str = PathMode.PRODUCT,
 ) -> float:
     """The predicted rate in unknown: known's rate times the tree measure of the pair."""
     known_rate = profile.aggregate(known)
@@ -149,7 +149,13 @@ def run_comparison(
     pairs: Sequence[Pair],
     mode: PathMode = PathMode.PRODUCT,
 ) -> ComparisonReport:
-    """Score every measure on every pair; rows ordered by pair then measure."""
+    """Score every measure on every pair; rows ordered by pair then measure.
+
+    A pair's rates are read and its known rate checked once, before its first measure, so
+    a known rate off the scale is reported ahead of a fault in the tree.  Each row's
+    prediction and error are ``predict_trust``'s and ``error_percentage``'s, taken inline:
+    those two are the one-row references the rows are tested against.
+    """
     if not measures or len(set(measures)) != len(measures) or not set(measures) <= set(TREE_MEASURES):
         raise DomainError(
             f"measures {list(measures)} must be distinct, one or more, each in {TREE_MEASURES}"
@@ -157,30 +163,39 @@ def run_comparison(
     # The summary's inputs, filled as the rows are scored: errors by measure, one diff a pair.
     errors = {measure: array("d") for measure in measures}
     differences = array("d")
-    scorers = [(measure, tree_measure(measure, mode), errors[measure]) for measure in measures]
+    scorers = [(measure, tree_measure(measure, mode), errors[measure].append) for measure in measures]
     # The C constructor NamedTuple._make uses, not the generated Python __new__.
     record = partial(tuple.__new__, EvaluationRecord)
     records: list[EvaluationRecord] = []
+    add_record, add_difference, cap = records.append, differences.append, float(RATE_MAX)
     for seller, known, unknown in pairs:
         try:
             profile = profiles.get(seller)
             if profile is None:
                 raise UnknownSellerError(f"no profile for seller {seller!r}")
-            # Each rate read once; unknown first, so a missing unknown context is reported first.
-            real = profile.aggregate(unknown)
-            known_rate = profile.aggregate(known)
+            rates = profile.rates
+            try:
+                real, known_rate = rates[unknown], rates[known]
+            except KeyError:  # aggregate names the missing context, the unknown one first
+                real, known_rate = profile.aggregate(unknown), profile.aggregate(known)
+            if not RATE_MIN <= known_rate <= RATE_MAX:
+                raise DomainError(f"known rate {known_rate} outside [{RATE_MIN}, {RATE_MAX}]")
             diff = abs(known_rate - real)  # the rate_difference column
-            for measure, score, measure_errors in scorers:
+            for measure, score, add_error in scorers:
                 similarity = score(tree, known, unknown)
-                predicted = predict_trust(known_rate, similarity)
-                signed = error_percentage(predicted, real)
+                if similarity <= 0:
+                    raise DomainError(f"similarity must be positive, got {similarity}")
+                predicted = known_rate * similarity
+                if not predicted < cap:  # min(cap, predicted), without a call
+                    predicted = cap
+                signed = (predicted - real) / RATE_MAX * 100.0
                 error = abs(signed)
-                measure_errors.append(error)
-                records.append(record((
+                add_error(error)
+                add_record(record((
                     seller, known, unknown, measure, similarity,
                     predicted, real, signed, error, diff,
                 )))
-            differences.append(diff)
+            add_difference(diff)
         except ContextTrustError as exc:
             raise type(exc)(f"pair ({seller}, {known}, {unknown}): {exc}") from exc
     return ComparisonReport(tuple(records), errors, differences)

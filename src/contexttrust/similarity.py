@@ -24,6 +24,14 @@ class PathMode(str, Enum):
     RECIPROCAL = "reciprocal"
 
 
+def _path_mode(mode: PathMode | str) -> PathMode:
+    """``mode`` as a PathMode: a member, or the string value of one; DomainError otherwise."""
+    try:
+        return PathMode(mode)
+    except ValueError:
+        raise DomainError(f"mode {mode!r} must be one of {[m.value for m in PathMode]}") from None
+
+
 TREE_MEASURES = ("weighted", "eq1", "shared")
 ALL_MEASURES = TREE_MEASURES + ("keyword", "task")
 
@@ -60,14 +68,15 @@ class TaskContext:
 
 
 def weighted_path_similarity(
-    tree: OntologyTree, a: str, b: str, mode: PathMode = PathMode.PRODUCT
+    tree: OntologyTree, a: str, b: str, mode: PathMode | str = PathMode.PRODUCT
 ) -> float:
     """Similarity from the edge weights on the unique a-b path.
 
     Product mode multiplies the weights (a value in (0, 1], or 0.0 once a
     long path of small weights underflows); reciprocal mode returns one over
     that product (a value >= 1) and rejects an underflowed one.  Identical
-    nodes give 1 in both modes, the empty product.
+    nodes give 1 in both modes, the empty product.  ``mode`` is a PathMode
+    or the string value of one; any other value is a DomainError.
     """
     (_, weights_a), (_, weights_b), lca = _meet(tree, a, b)
     up, down = weights_a[lca:], weights_b[lca:]
@@ -77,14 +86,16 @@ def weighted_path_similarity(
     except TypeError:  # a None weight
         edge = next(e for e in path_between(tree, a, b).edges if tree.weights[e] is None)
         raise MissingWeightError(f"edge {edge!r} carries no weight") from None
-    if mode is PathMode.RECIPROCAL:
-        if product == 0.0:
-            raise DomainError(
-                f"weight product on the path {a!r} -> {b!r} ({len(up) + len(down)} edges) "
-                "underflows to 0, so its reciprocal is undefined"
-            )
-        return 1.0 / product
-    return product
+    if mode is PathMode.PRODUCT:  # a member, tested by identity on eval's path
+        return product
+    if mode is not PathMode.RECIPROCAL and _path_mode(mode) is PathMode.PRODUCT:  # a string
+        return product
+    if product == 0.0:
+        raise DomainError(
+            f"weight product on the path {a!r} -> {b!r} ({len(up) + len(down)} edges) "
+            "underflows to 0, so its reciprocal is undefined"
+        )
+    return 1.0 / product
 
 
 def inverse_distance_similarity(tree: OntologyTree, a: str, b: str) -> float:
@@ -116,12 +127,15 @@ def task_similarity(ta: TaskContext, tb: TaskContext) -> float:
 
 
 def tree_measure(
-    measure: str, mode: PathMode = PathMode.PRODUCT
+    measure: str, mode: PathMode | str = PathMode.PRODUCT
 ) -> Callable[[OntologyTree, str, str], float]:
     """The tree-based measure named ``measure``, as a function of (tree, a, b).
 
     Read from this module's namespace at each call, so a wrapper put there is returned.
+    ``mode`` is a PathMode or the string value of one, read here once, so the weighted
+    measure is handed a member; any other value is a DomainError.
     """
+    mode = _path_mode(mode)
     if measure == "weighted":
         if mode is PathMode.PRODUCT:  # the default: no partial between a caller and the measure
             return weighted_path_similarity

@@ -523,6 +523,22 @@ def test_eval_repeated_measure_exits_nonzero_and_spares_out(capsys, tmp_path):
     assert report_path.read_bytes() == b"old report\n"
 
 
+def test_eval_underflowed_weighted_similarity_exits_nonzero_and_spares_out(capsys, tmp_path):
+    tree = tmp_path / "tree.tsv"
+    tree.write_text(dump_tree(chain_tree([0.01] * 200)), encoding="utf-8")
+    reviews = tmp_path / "s.csv"
+    reviews.write_text("Context,Rate,Date,Description,Link\nc0,4,d,t,l\nc200,3,d,t,l\n",
+                       encoding="utf-8")
+    pairs = tmp_path / "pairs.csv"
+    write_pairs(pairs, [["s", "c0", "c200"]])
+    report_path = tmp_path / "report.csv"
+    code, stdout, stderr = run(capsys, "eval", "--tree", tree, "--reviews", f"s={reviews}",
+                               "--pairs", pairs, "--measure", "weighted", "--out", report_path)
+    assert (code, stdout) == (1, "")
+    assert stderr == "contexttrust: pair (s, c0, c200): similarity must be positive, got 0.0\n"
+    assert not report_path.exists()
+
+
 def test_write_atomic_writes_a_multi_slice_text_whole(tmp_path):
     target = tmp_path / "big.csv"
     text = "".join("row %07d,\u00e9t\u00e9\n" % i for i in range(300_000))

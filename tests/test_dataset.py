@@ -26,6 +26,7 @@ def make_reviews(context, rates):
 def test_parse_bundled_laptop_file():
     reviews = load_reviews(DATA_DIR / "laptop_reviews.csv", seller="acme")
     assert len(reviews) == 10
+    assert all(type(r) is Review for r in reviews)
     assert [r.rate for r in reviews] == [4, 5, 1, 3, 1, 5, 1, 1, 4, 4]
     assert all(r.context == "Laptop" for r in reviews)
     assert reviews[0].date == "12-Aug-09"  # kept verbatim
@@ -130,6 +131,7 @@ def test_context_ratings_keep_count_and_mean_only():
     profile = build_profiles({"s": reviews})["s"]
     assert profile.contexts["Books"] == ContextRatings(count=3, aggregate=11 / 3)
     assert profile.contexts["Toys"] == ContextRatings(count=1, aggregate=3.0)
+    assert profile.rates == {"Books": 11 / 3, "Toys": 3.0}
 
 
 def test_filter_keeps_context_at_exact_threshold():

@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import chain_tree
-from contexttrust.dataset import Review, build_profiles
+from contexttrust.dataset import ContextRatings, Review, TrustProfile, build_profiles
 from contexttrust.errors import (
     ArityError,
     DegenerateInputError,
@@ -238,6 +238,36 @@ def test_unknown_tree_node_names_pair():
         run_comparison(profiles, tree, ["weighted"], [("s", "c0", "offtree")])
 
 
+@pytest.mark.parametrize("rate", [7.0, 0.5])
+def test_known_rate_off_the_scale_names_pair(rate):
+    # build_profiles cannot make such a rate; a hand-built profile can.
+    tree = chain_tree([0.9, 0.8])
+    profile = TrustProfile("s", {"c0": ContextRatings(1, rate), "c2": ContextRatings(1, 3.0)})
+    with pytest.raises(DomainError, match=rf"^pair \(s, c0, c2\): known rate {rate} outside"):
+        run_comparison({"s": profile}, tree, ["weighted", "eq1"], [("s", "c0", "c2")])
+
+
+def test_known_rate_off_the_scale_is_reported_before_an_unknown_node():
+    # A pair's rates are checked once, before its first measure meets the tree.
+    tree = chain_tree([0.9])
+    contexts = {"offtree": ContextRatings(1, 7.0), "c0": ContextRatings(1, 3.0)}
+    profiles = {"s": TrustProfile("s", contexts)}
+    with pytest.raises(DomainError, match=r"^pair \(s, offtree, c0\): known rate 7.0") as caught:
+        run_comparison(profiles, tree, ["weighted"], [("s", "offtree", "c0")])
+    assert type(caught.value) is DomainError
+    with pytest.raises(UnknownNodeError, match=r"^pair \(s, c0, offtree\): "):
+        run_comparison(profiles, tree, ["weighted"], [("s", "c0", "offtree")])
+
+
+def test_underflowed_weighted_similarity_names_pair():
+    tree = chain_tree([0.01] * 200)  # 1e-400 is below the smallest float
+    profiles = profiles_from({"s": {"c0": (4,), "c200": (3,)}})
+    message = r"^pair \(s, c0, c200\): similarity must be positive, got 0.0$"
+    with pytest.raises(DomainError, match=message) as caught:
+        run_comparison(profiles, tree, ["eq1", "weighted"], [("s", "c0", "c200")])
+    assert type(caught.value) is DomainError
+
+
 def test_degenerate_pearson_reported_absent(small_setup):
     profiles, tree = small_setup
     # Two identical pairs: rate differences have zero variance.
@@ -315,7 +345,8 @@ def test_summary_equals_a_recomputation_from_the_records(measures, seed):
 ])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_records_equal_predict_for_pair_and_rate_difference(measures, seed, mode):
-    # The comparison reads a pair's rates once; each row must still be the one-row API's.
+    # The comparison reads a pair's rates once and predicts inline; each row must still be
+    # the one-row API's.
     profiles, tree, pairs = random_setup(seed)
     report = run_comparison(profiles, tree, measures, pairs, mode)
     assert len(report.records) == len(pairs) * len(measures)
@@ -326,6 +357,8 @@ def test_records_equal_predict_for_pair_and_rate_difference(measures, seed, mode
         assert record.predicted == predict_for_pair(
             profile, tree, record.measure, known, unknown, mode
         )
+        assert record.signed_error_pct == error_percentage(record.predicted, record.real)
+        assert record.abs_error_pct == abs(record.signed_error_pct)
         assert record.real == profile.aggregate(unknown)
         assert record.rate_difference == abs(profile.aggregate(known) - profile.aggregate(unknown))
 

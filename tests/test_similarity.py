@@ -77,6 +77,45 @@ def test_reciprocal_of_underflowed_product_is_rejected():
         weighted_path_similarity(tree, "c0", "c200", PathMode.RECIPROCAL)
 
 
+def predict_from_rate_one(tree, a, b, mode):
+    profile = build_profiles({"s": [Review(a, 1, "d", "t", "l")]})["s"]
+    return evaluation.predict_for_pair(profile, tree, "weighted", a, b, mode)
+
+
+MODE_ENTRY_POINTS = {
+    "weighted_path_similarity": weighted_path_similarity,
+    "tree_measure": lambda tree, a, b, mode: tree_measure("weighted", mode)(tree, a, b),
+    "predict_for_pair": predict_from_rate_one,  # known rate 1, so the prediction is the measure
+}
+
+
+@pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
+@pytest.mark.parametrize("mode, expected", [
+    ("reciprocal", 4.0), ("product", 0.25), (PathMode.RECIPROCAL, 4.0), (PathMode.PRODUCT, 0.25),
+])
+def test_a_mode_given_as_its_string_value_is_that_mode(entry, mode, expected):
+    tree = chain_tree([0.5, 0.5])
+    assert MODE_ENTRY_POINTS[entry](tree, "c0", "c2", mode) == expected
+
+
+@pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
+@pytest.mark.parametrize("mode", ["bogus", "Reciprocal", "", None, 1])
+def test_a_mode_that_names_no_path_mode_is_refused(entry, mode):
+    tree = chain_tree([0.5, 0.5])
+    with pytest.raises(DomainError, match=re.escape(f"mode {mode!r} must be one of")):
+        MODE_ENTRY_POINTS[entry](tree, "c0", "c2", mode)
+
+
+def test_tree_measure_reads_a_string_mode_once():
+    # Eval's weighted calls test the mode by identity, so tree_measure hands them a member.
+    assert tree_measure("weighted", "product") is weighted_path_similarity
+    assert tree_measure("weighted", "reciprocal").keywords == {"mode": PathMode.RECIPROCAL}
+    assert tree_measure("weighted", "reciprocal").keywords["mode"] is PathMode.RECIPROCAL
+    assert tree_measure("eq1", "reciprocal") is inverse_distance_similarity
+    with pytest.raises(DomainError, match="mode 'bogus'"):
+        tree_measure("shared", "bogus")
+
+
 def test_weighted_identity_is_one_in_both_modes():
     tree = chain_tree([0.9, 0.8])
     assert weighted_path_similarity(tree, "c1", "c1") == 1.0
