@@ -18,10 +18,11 @@ import time
 import urllib.parse
 import warnings
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     ConfigError,
@@ -118,6 +119,9 @@ _ASCII_WORDS = {
     code: chr(code).lower() if chr(code).isalnum() or chr(code) == "_" else " "
     for code in range(128)
 }
+# The same table for bytes.translate, every byte above 127 to a space.  A document is
+# tokenised only when its text is ASCII, so the only such bytes are a leading BOM's.
+_ASCII_WORD_BYTES = bytes(ord(_ASCII_WORDS[code]) for code in range(128)).ljust(256)
 
 
 def _phrase_pattern(term: str) -> re.Pattern[str]:
@@ -270,6 +274,9 @@ class StaticTableProvider(CountProvider):
         return counts
 
 
+_READ_SIZE = 1 << 16  # the bytes asked for by each read of a corpus document
+
+
 def _is_file(entry: os.DirEntry) -> bool:
     """Whether a directory entry is a file or a symlink to one, as ``Path.is_file`` says."""
     try:
@@ -284,11 +291,13 @@ class CorpusProvider(CountProvider):
     A document matches a term it contains as a case-insensitive whole word (a multi-word
     term as a contiguous phrase).  Every lookup counts the same documents and m.
 
-    Each term's matching documents are found once, as a bitset (a Python int, bit i for
-    document i).  A token index proposes candidates and ``_phrase_pattern`` decides, except
-    for an ASCII one-token term on an ASCII document, where the index is exact: the regex
-    folds case per character (``ſ`` matches ``s``, the Kelvin sign matches ``k``), which a
-    lookup of lowercased tokens cannot follow.
+    The documents are indexed in one pass: each token of an ASCII document lists the
+    numbers of the documents that hold it.  Each term's matching documents are found once,
+    at its first lookup, and kept as a bitset (a Python int, bit i for document i).  The
+    token index proposes candidates and ``_phrase_pattern`` decides, except for an ASCII
+    one-token term on an ASCII document, where the index is exact: the regex folds case
+    per character (``ſ`` matches ``s``, the Kelvin sign matches ``k``), which a lookup of
+    lowercased tokens cannot follow.
     """
 
     def __init__(self, directory: str | Path):
@@ -296,33 +305,42 @@ class CorpusProvider(CountProvider):
         self._docs_by_term: dict[str, int] = {}
 
     @cached_property
-    def _index(self) -> tuple[list[str], dict[str, int], int]:
+    def _index(self) -> tuple[list[str], dict[bytes, list[int]], int]:
         """Each document's text, each token's ASCII documents, and the non-ASCII documents."""
         if not self.directory.is_dir():
             raise CorpusError(f"corpus directory not found: {self.directory}")
-        with os.scandir(self.directory) as entries:
-            names = sorted(entry.name for entry in entries if _is_file(entry))
-        if not names:
-            raise CorpusError(f"corpus directory is empty: {self.directory}")
-        texts = []
-        for name in names:
-            path = os.path.join(self.directory, name)
-            try:
-                # A str path, unbuffered, line endings kept (\r and \n are non-word).
-                with open(path, "rb", buffering=0) as handle:
-                    texts.append(decode_input(handle.readall(), path, CorpusError))
-            except OSError as exc:
-                raise CorpusError(f"cannot read corpus document {path}: {exc}") from exc
-        tokens: dict[str, int] = {}
-        non_ascii = 0
-        for i, text in enumerate(texts):
-            bit = 1 << i
-            if not text.isascii():
-                non_ascii |= bit
-                continue
-            for token in set(text.translate(_ASCII_WORDS).split()):
-                tokens[token] = tokens.get(token, 0) | bit
-        return texts, tokens, non_ascii
+        dir_fd = os.open(self.directory, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            with os.scandir(dir_fd) as entries:
+                names = sorted(entry.name for entry in entries if _is_file(entry))
+            if not names:
+                raise CorpusError(f"corpus directory is empty: {self.directory}")
+            texts: list[str] = []
+            tokens: defaultdict[bytes, list[int]] = defaultdict(list)
+            non_ascii = []
+            for i, name in enumerate(names):
+                path = os.path.join(self.directory, name)
+                try:
+                    fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+                    try:
+                        chunks = []
+                        while chunk := os.read(fd, _READ_SIZE):
+                            chunks.append(chunk)
+                    finally:
+                        os.close(fd)
+                except OSError as exc:
+                    raise CorpusError(f"cannot read corpus document {path}: {exc}") from exc
+                data = b"".join(chunks)  # line endings kept: \r and \n are non-word
+                text = decode_input(data, path, CorpusError)
+                texts.append(text)
+                if not text.isascii():
+                    non_ascii.append(i)
+                    continue
+                for token in set(data.translate(_ASCII_WORD_BYTES).split()):
+                    tokens[token].append(i)
+        finally:
+            os.close(dir_fd)
+        return texts, tokens, _bitset(non_ascii, len(texts))
 
     def _docs_with(self, term: str) -> int:
         texts, tokens, non_ascii = self._index
@@ -332,7 +350,7 @@ class CorpusProvider(CountProvider):
         if term.isascii():
             # Every \w run of a match is a whole token of an ASCII document.
             for word in words:
-                confirm &= tokens.get(word, 0)
+                confirm &= _bitset(tokens.get(word.encode(), ()), len(texts))
             if len(words) == 1 and lowered.split() == words:
                 found, confirm = confirm & ~non_ascii, non_ascii
             else:
@@ -353,6 +371,15 @@ class CorpusProvider(CountProvider):
                 self._docs_by_term[term] = self._docs_with(term)
         bx, by = self._docs_by_term[x], self._docs_by_term[y]
         return HitCounts(bx.bit_count(), by.bit_count(), (bx & by).bit_count(), len(self._index[0]))
+
+
+def _bitset(numbers: Iterable[int], size: int) -> int:
+    """The int with bit n set for each n in numbers, all below size: built in a bytearray, so
+    in time linear in the numbers plus size / 8, not re-grown for each number."""
+    bits = bytearray((size + 7) // 8)
+    for n in numbers:
+        bits[n >> 3] |= 1 << (n & 7)
+    return int.from_bytes(bits, "little")
 
 
 def _default_transport(url: str) -> str:

@@ -41,6 +41,7 @@ from contexttrust.semantic import (
     ProviderConfig,
     RemoteProvider,
     StaticTableProvider,
+    _ASCII_WORD_BYTES,
     _ASCII_WORDS,
     _TOKEN,
     _phrase_pattern,
@@ -380,6 +381,29 @@ def test_ascii_word_table_tokenises_as_the_regex():
         text = f"Ab{char}cD"
         expected = set(_TOKEN.findall(text.lower()))
         assert set(text.translate(_ASCII_WORDS).split()) == expected, repr(char)
+        # The byte table is the same rule, byte for byte.
+        byte = char.encode("ascii")
+        assert _ASCII_WORD_BYTES[ord(char)] == ord(_ASCII_WORDS[ord(char)]), repr(char)
+        assert byte.translate(_ASCII_WORD_BYTES) == word_char.encode("ascii"), repr(char)
+        data = text.encode("ascii").translate(_ASCII_WORD_BYTES)
+        assert {token.decode("ascii") for token in data.split()} == expected, repr(char)
+    # A leading BOM's bytes, the only non-ASCII ones tokenised, separate words.
+    assert _ASCII_WORD_BYTES[128:] == b" " * 128
+
+
+def regex_counts(documents, x, y):
+    """The counts of the pair (x, y) from a phrase-pattern search of each whole text."""
+    has_x = [_phrase_pattern(x).search(text) is not None for text in documents]
+    has_y = [_phrase_pattern(y).search(text) is not None for text in documents]
+    both = sum(a and b for a, b in zip(has_x, has_y))
+    return HitCounts(sum(has_x), sum(has_y), both, len(documents))
+
+
+def corpus_of(directory, documents):
+    directory.mkdir()
+    for i, text in enumerate(documents):
+        (directory / f"d{i:03d}.txt").write_text(text, encoding="utf-8")
+    return CorpusProvider(directory)
 
 
 @settings(deadline=None)
@@ -400,11 +424,41 @@ def test_corpus_counts_equal_per_document_regex(documents, terms):
             Path(directory, f"d{i}.txt").write_text(text, encoding="utf-8")
         provider = CorpusProvider(directory)
         for x, y in itertools.product(terms, repeat=2):
-            has_x = [_phrase_pattern(x).search(text) is not None for text in documents]
-            has_y = [_phrase_pattern(y).search(text) is not None for text in documents]
-            both = sum(a and b for a, b in zip(has_x, has_y))
-            expected = HitCounts(sum(has_x), sum(has_y), both, len(documents))
-            assert provider.counts(x, y) == expected, (x, y)
+            assert provider.counts(x, y) == regex_counts(documents, x, y), (x, y)
+
+
+def test_corpus_document_longer_than_three_reads_counts_as_its_whole_text(tmp_path):
+    # Each read boundary falls inside a phrase: in its first word, just after it, and in
+    # its second word.  The last term ends the file.
+    size = semantic._READ_SIZE
+    doc = bytearray(b"filler\n" * (3 * size // 7 + 8))
+    phrases = {"alpha beta": 3, "gamma delta": 5, "epsilon zeta": 9}
+    for k, (phrase, before) in enumerate(phrases.items(), start=1):
+        start = k * size - before
+        doc[start - 1:start + len(phrase) + 1] = f" {phrase} ".encode("ascii")
+    doc += b" omega"
+    assert len(doc) > 3 * size
+    big = doc.decode("ascii")
+    documents = [big, "alpha", "beta gamma", "delta\nomega", "zeta epsilon"]
+    provider = corpus_of(tmp_path / "docs", documents)
+    terms = [*phrases, "alpha", "gamma", "delta", "zeta", "omega", "filler", "eps"]
+    for x, y in itertools.product(terms, repeat=2):
+        assert provider.counts(x, y) == regex_counts(documents, x, y), (x, y)
+    assert provider.counts("gamma delta", "omega") == HitCounts(1, 2, 1, 5)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 29, 30, 31, 64, 65])
+def test_corpus_counts_at_bitset_byte_and_digit_edges(tmp_path, m):
+    # Bitsets are built a byte at a time and held as ints of 30-bit digits.  Every third
+    # document is non-ASCII, so the index leaves it to the phrase pattern.
+    documents = []
+    for i in range(m):
+        words = ["first"] * (i == 0) + ["last"] * (i == m - 1) + ["every"] * (i % 2 == 0)
+        documents.append(" ".join(words + ["caf\u00e9"] * (i % 3 == 2) + ["word"]))
+    provider = corpus_of(tmp_path / "docs", documents)
+    for x, y in itertools.product(["first", "last", "every", "word"], repeat=2):
+        assert provider.counts(x, y) == regex_counts(documents, x, y), (x, y)
+    assert provider.counts("every", "last").fx == (m + 1) // 2
 
 
 # --- static tables and caching --------------------------------------------------
