@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     ConfigError,
@@ -356,12 +356,9 @@ class CorpusProvider(CountProvider):
             else:
                 confirm |= non_ascii
         if confirm:
-            pattern = _phrase_pattern(term)
-            while confirm:
-                bit = confirm & -confirm
-                confirm ^= bit
-                if pattern.search(texts[bit.bit_length() - 1]):
-                    found |= bit
+            search = _phrase_pattern(term).search
+            matches = (n for n in _numbers(confirm, len(texts)) if search(texts[n]))
+            found |= _bitset(matches, len(texts))
         return found
 
     def counts(self, x: str, y: str) -> HitCounts:
@@ -380,6 +377,16 @@ def _bitset(numbers: Iterable[int], size: int) -> int:
     for n in numbers:
         bits[n >> 3] |= 1 << (n & 7)
     return int.from_bytes(bits, "little")
+
+
+def _numbers(bits: int, size: int) -> Iterator[int]:
+    """The n with bit n set in bits, in ascending order, all below size: the inverse of
+    ``_bitset``, in one pass over the int's bytes rather than one big-int step per bit."""
+    for i, byte in enumerate(bits.to_bytes((size + 7) // 8, "little")):
+        while byte:
+            low = byte & -byte
+            byte ^= low
+            yield i * 8 + low.bit_length() - 1
 
 
 def _default_transport(url: str) -> str:
@@ -445,7 +452,9 @@ class RemoteProvider(CountProvider):
     """Counts from a search endpoint, one HTTP query per term and pair.
 
     Request starts, a retry's included, are at least ``interval_ms`` apart; waiting for a
-    response counts toward that.  Only a transport failure is retried; no count is invented.
+    response counts toward that.  A start is never early, and a paced one lands within µs
+    of its due time: each wait sleeps short by the last sleep's overrun, then spins.  Only a
+    transport failure is retried; no count is invented.
     """
 
     def __init__(
@@ -472,6 +481,7 @@ class RemoteProvider(CountProvider):
         self.api_key = api_key
         self._transport = transport or _default_transport
         self._last_start = 0.0
+        self._overrun = 0.0  # how far past its end the last pacing sleep woke
 
     def _url(self, query: str) -> str:
         url = self.endpoint.replace("{query}", urllib.parse.quote(query, safe=""))
@@ -486,9 +496,16 @@ class RemoteProvider(CountProvider):
         url = self._url(query)
         last_error: Exception | None = None
         for _ in range(self.retries):
-            wait = self._last_start + self.interval - time.monotonic()
+            due = self._last_start + self.interval
+            wait = due - time.monotonic()
             if wait > 0:
-                time.sleep(wait)
+                # A sleep wakes late by tens of µs: wake early by the last sleep's overrun
+                # and spin the rest of the way, so the request starts at its due time.
+                early = min(self._overrun, wait)
+                time.sleep(wait - early)
+                self._overrun = time.monotonic() - (due - early)
+                while time.monotonic() < due:
+                    pass
             self._last_start = time.monotonic()
             try:
                 body = self._transport(url)

@@ -447,16 +447,18 @@ def test_corpus_document_longer_than_three_reads_counts_as_its_whole_text(tmp_pa
     assert provider.counts("gamma delta", "omega") == HitCounts(1, 2, 1, 5)
 
 
-@pytest.mark.parametrize("m", [1, 7, 8, 9, 29, 30, 31, 64, 65])
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 29, 30, 31, 64, 65, 257])
 def test_corpus_counts_at_bitset_byte_and_digit_edges(tmp_path, m):
-    # Bitsets are built a byte at a time and held as ints of 30-bit digits.  Every third
-    # document is non-ASCII, so the index leaves it to the phrase pattern.
+    # Bitsets are built and walked a byte at a time and held as ints of 30-bit digits.  Every
+    # third document is non-ASCII, so the index leaves it to the phrase pattern, as it does
+    # every document for a phrase or a non-ASCII term.
     documents = []
     for i in range(m):
         words = ["first"] * (i == 0) + ["last"] * (i == m - 1) + ["every"] * (i % 2 == 0)
         documents.append(" ".join(words + ["caf\u00e9"] * (i % 3 == 2) + ["word"]))
     provider = corpus_of(tmp_path / "docs", documents)
-    for x, y in itertools.product(["first", "last", "every", "word"], repeat=2):
+    terms = ["first", "last", "every", "word", "every word", "last word", "caf\u00e9 word"]
+    for x, y in itertools.product(terms, repeat=2):
         assert provider.counts(x, y) == regex_counts(documents, x, y), (x, y)
     assert provider.counts("every", "last").fx == (m + 1) // 2
 
@@ -1106,6 +1108,41 @@ def test_remote_retry_starts_an_interval_after_the_failed_attempt(monkeypatch):
     assert remote(transport, interval_ms=30, retries=2).counts("a", "a").fx == 3
     assert len(starts) == 2
     assert starts[1] - starts[0] >= 0.03 - 1e-9
+
+
+class LateClock(FakeClock):
+    """A FakeClock whose every sleep wakes 70 µs late (sleep number ``late_at`` by ``late_by``
+    instead), and whose every reading takes 1 µs, so a spin on it ends."""
+
+    def __init__(self, late_at, late_by):
+        super().__init__()
+        self.late_at, self.late_by = late_at, late_by
+
+    def monotonic(self):
+        self.now += 1e-6
+        return self.now
+
+    def sleep(self, seconds):
+        super().sleep(seconds)
+        self.now += self.late_by if len(self.sleeps) == self.late_at else 70e-6
+
+
+def test_remote_starts_land_on_their_due_time_when_sleeps_wake_late(monkeypatch):
+    interval = 0.001
+    clock = LateClock(late_at=8, late_by=10 * interval)
+    monkeypatch.setattr("contexttrust.semantic.time", clock)
+    transport, starts = paced_transport(clock, took=0.4 * interval)
+    provider = remote(transport, interval_ms=1)
+    for i in range(8):
+        provider.counts(f"x{i}", f"y{i}")
+    assert len(starts) == 24 and len(clock.sleeps) == 23  # one sleep before each later start
+    gaps = [b - a for a, b in zip(starts, starts[1:])]
+    assert min(gaps) >= interval
+    # The second start is the first sleep's: nothing is known yet of how late it wakes.
+    # Gap 7 follows the 10-interval overrun; the next start is on time again.
+    assert gaps[7] > 10 * interval
+    on_time = gaps[1:7] + gaps[8:]
+    assert all(gap - interval <= 5e-6 for gap in on_time), gaps
 
 
 @pytest.mark.parametrize("x, y", [('12" monitor', "screen"), ("screen", '12" monitor'),
