@@ -110,12 +110,11 @@ def _parse_task_vector(text: str) -> similarity.TaskContext:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    mode = PathMode(args.mode)
     if args.measure in TREE_MEASURES:
         if args.tree is None:
             raise DomainError(f"--tree is required for measure {args.measure!r}")
         tree = ontology.load_tree(args.tree)
-        value = similarity.tree_measure(args.measure, mode)(tree, args.a, args.b)
+        value = similarity.tree_measure(args.measure, args.mode)(tree, args.a, args.b)
     elif args.measure == "keyword":
         value = similarity.keyword_similarity(
             similarity.KeywordContext(args.a.split(",")),
@@ -133,7 +132,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if profile is None:
         raise DomainError(f"no eligible profile for seller {args.seller!r} after filtering")
     rate = evaluation.predict_for_pair(
-        profile, tree, args.measure, args.known, args.unknown, PathMode(args.mode)
+        profile, tree, args.measure, args.known, args.unknown, args.mode
     )
     print(f"{rate:.6f}")
     return 0
@@ -147,7 +146,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "no eligible sellers: every profile fell below the context/rating thresholds"
         )
     measures = args.measure or ["weighted", "eq1"]
-    mode = PathMode(args.mode)
     pairs = _read_pairs(args.pairs)
     step = max(1, _BLOCK_ROWS // len(measures))  # pairs a block
     # The summary's inputs, in row order, gathered from every block's report.
@@ -155,7 +153,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     def score(start: int) -> str:
         # A block's report is freed on return, before the next block is scored.
-        report = evaluation.run_comparison(profiles, tree, measures, pairs[start:start + step], mode)
+        report = evaluation.run_comparison(
+            profiles, tree, measures, pairs[start:start + step], args.mode
+        )
         for measure, errors in report.errors.items():
             summary.errors[measure].extend(errors)
         summary.differences.extend(report.differences)

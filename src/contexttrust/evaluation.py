@@ -147,7 +147,7 @@ def run_comparison(
     tree: OntologyTree,
     measures: Sequence[str],
     pairs: Sequence[Pair],
-    mode: PathMode = PathMode.PRODUCT,
+    mode: PathMode | str = PathMode.PRODUCT,
 ) -> ComparisonReport:
     """Score every measure on every pair; rows ordered by pair then measure.
 

@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import (
     ConfigError,
@@ -111,17 +111,15 @@ def nss(counts: HitCounts, epsilon: float = DEFAULT_EPSILON) -> float:
 
 _TOKEN = re.compile(r"\w+")
 
-# str.translate table for ASCII text: A-Z to lowercase, [0-9a-z_] kept, every other ASCII
-# code point to a space.  Among ASCII characters \w is exactly [0-9A-Za-z_], so on ASCII
-# text ``text.translate(_ASCII_WORDS).split()`` yields the tokens of
-# ``_TOKEN.findall(text.lower())``, tokenised in C without the regex engine.
-_ASCII_WORDS = {
-    code: chr(code).lower() if chr(code).isalnum() or chr(code) == "_" else " "
+# bytes.translate table for an ASCII document: A-Z to lowercase, [0-9a-z_] kept, every
+# other byte to a space.  Among ASCII characters \w is exactly [0-9A-Za-z_], so on ASCII
+# text ``data.translate(_ASCII_WORD_BYTES).split()`` yields the tokens of
+# ``_TOKEN.findall(text.lower())``, tokenised in C without the regex engine.  A document is
+# tokenised only when its text is ASCII, so the only bytes above 127 are a leading BOM's.
+_ASCII_WORD_BYTES = bytes(
+    ord(chr(code).lower()) if chr(code).isalnum() or chr(code) == "_" else ord(" ")
     for code in range(128)
-}
-# The same table for bytes.translate, every byte above 127 to a space.  A document is
-# tokenised only when its text is ASCII, so the only such bytes are a leading BOM's.
-_ASCII_WORD_BYTES = bytes(ord(_ASCII_WORDS[code]) for code in range(128)).ljust(256)
+).ljust(256)
 
 
 def _phrase_pattern(term: str) -> re.Pattern[str]:
@@ -293,19 +291,19 @@ class CorpusProvider(CountProvider):
 
     The documents are indexed in one pass: each token of an ASCII document lists the
     numbers of the documents that hold it.  Each term's matching documents are found once,
-    at its first lookup, and kept as a bitset (a Python int, bit i for document i).  The
-    token index proposes candidates and ``_phrase_pattern`` decides, except for an ASCII
-    one-token term on an ASCII document, where the index is exact: the regex folds case
-    per character (``ſ`` matches ``s``, the Kelvin sign matches ``k``), which a lookup of
-    lowercased tokens cannot follow.
+    at its first lookup, and kept as a frozenset of their numbers.  The token index
+    proposes candidates and ``_phrase_pattern`` decides, except for an ASCII one-token term
+    on an ASCII document, where the index is exact: the regex folds case per character
+    (``ſ`` matches ``s``, the Kelvin sign matches ``k``), which a lookup of lowercased
+    tokens cannot follow.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self._docs_by_term: dict[str, int] = {}
+        self._docs_by_term: dict[str, frozenset[int]] = {}
 
     @cached_property
-    def _index(self) -> tuple[list[str], dict[bytes, list[int]], int]:
+    def _index(self) -> tuple[list[str], dict[bytes, list[int]], frozenset[int]]:
         """Each document's text, each token's ASCII documents, and the non-ASCII documents."""
         if not self.directory.is_dir():
             raise CorpusError(f"corpus directory not found: {self.directory}")
@@ -340,25 +338,24 @@ class CorpusProvider(CountProvider):
                     tokens[token].append(i)
         finally:
             os.close(dir_fd)
-        return texts, tokens, _bitset(non_ascii, len(texts))
+        return texts, tokens, frozenset(non_ascii)
 
-    def _docs_with(self, term: str) -> int:
+    def _docs_with(self, term: str) -> frozenset[int]:
         texts, tokens, non_ascii = self._index
         lowered = term.lower()
         words = _TOKEN.findall(lowered)
-        found, confirm = 0, (1 << len(texts)) - 1
-        if term.isascii():
+        found, confirm = frozenset(), range(len(texts))
+        if term.isascii() and words:
             # Every \w run of a match is a whole token of an ASCII document.
-            for word in words:
-                confirm &= _bitset(tokens.get(word.encode(), ()), len(texts))
+            first, *rest = (tokens.get(word.encode(), ()) for word in words)
+            candidates = frozenset(first).intersection(*rest)
             if len(words) == 1 and lowered.split() == words:
-                found, confirm = confirm & ~non_ascii, non_ascii
+                found, confirm = candidates, non_ascii
             else:
-                confirm |= non_ascii
+                confirm = candidates | non_ascii
         if confirm:
             search = _phrase_pattern(term).search
-            matches = (n for n in _numbers(confirm, len(texts)) if search(texts[n]))
-            found |= _bitset(matches, len(texts))
+            found = found.union(n for n in confirm if search(texts[n]))
         return found
 
     def counts(self, x: str, y: str) -> HitCounts:
@@ -366,27 +363,8 @@ class CorpusProvider(CountProvider):
         for term in (x, y):
             if term not in self._docs_by_term:
                 self._docs_by_term[term] = self._docs_with(term)
-        bx, by = self._docs_by_term[x], self._docs_by_term[y]
-        return HitCounts(bx.bit_count(), by.bit_count(), (bx & by).bit_count(), len(self._index[0]))
-
-
-def _bitset(numbers: Iterable[int], size: int) -> int:
-    """The int with bit n set for each n in numbers, all below size: built in a bytearray, so
-    in time linear in the numbers plus size / 8, not re-grown for each number."""
-    bits = bytearray((size + 7) // 8)
-    for n in numbers:
-        bits[n >> 3] |= 1 << (n & 7)
-    return int.from_bytes(bits, "little")
-
-
-def _numbers(bits: int, size: int) -> Iterator[int]:
-    """The n with bit n set in bits, in ascending order, all below size: the inverse of
-    ``_bitset``, in one pass over the int's bytes rather than one big-int step per bit."""
-    for i, byte in enumerate(bits.to_bytes((size + 7) // 8, "little")):
-        while byte:
-            low = byte & -byte
-            byte ^= low
-            yield i * 8 + low.bit_length() - 1
+        dx, dy = self._docs_by_term[x], self._docs_by_term[y]
+        return HitCounts(len(dx), len(dy), len(dx & dy), len(self._index[0]))
 
 
 def _default_transport(url: str) -> str:

@@ -318,7 +318,27 @@ def test_predict_across_contexts(capsys, tmp_path):
     assert stdout.splitlines()[-1] == "4.050000"
 
 
-@pytest.mark.parametrize("measure, golden", [("eq1", "2.500000"), ("shared", "2.000000")],
+def test_predict_reciprocal_mode_reaches_the_prediction(capsys, tmp_path):
+    # evalfix's first pair: in product mode Laptop's 5 scales down to 4.05; in reciprocal
+    # mode the similarity is above 1 and the prediction is capped at the scale's top.
+    tree, _ = weigh_fixture_tree(capsys, tmp_path)
+    with open(EVALFIX / "pairs.csv", encoding="utf-8", newline="") as handle:
+        seller, known, unknown = list(csv.reader(handle))[1]
+    reviews = f"{seller}={EVALFIX / f'{seller}.csv'}"
+    profile = dataset.build_profiles({seller: dataset.load_reviews(EVALFIX / f"{seller}.csv")})
+    printed = {}
+    for mode in similarity.PathMode:
+        code, stdout, stderr = run(capsys, "predict", "--tree", tree, "--reviews", reviews,
+                                   "--mode", mode.value, seller, known, unknown)
+        assert code == 0, stderr
+        rate = evaluation.predict_for_pair(profile[seller], load_tree(tree), "weighted",
+                                           known, unknown, mode)
+        assert stdout == f"{rate:.6f}\n", mode
+        printed[mode.value] = stdout
+    assert printed == {"product": "4.050000\n", "reciprocal": "5.000000\n"}
+
+
+@pytest.mark.parametrize("measure, golden",[("eq1", "2.500000"), ("shared", "2.000000")],
                          ids=["eq1", "shared"])
 def test_predict_eq1_and_shared(capsys, tmp_path, measure, golden):
     # Laptop (rated 5) lies two nodes below Electronics: eq1 0.5, shared 2 of 5 nodes.

@@ -42,7 +42,6 @@ from contexttrust.semantic import (
     RemoteProvider,
     StaticTableProvider,
     _ASCII_WORD_BYTES,
-    _ASCII_WORDS,
     _TOKEN,
     _phrase_pattern,
     load_provider_config,
@@ -305,7 +304,7 @@ def test_corpus_document_may_start_with_bom(tmp_path):
     plain, with_bom = providers
     for x, y in itertools.product(LINE_TERMS, repeat=2):
         assert with_bom.counts(x, y) == plain.counts(x, y), (x, y)
-    assert with_bom._index[2] == 0  # no document is left non-ASCII by its BOM
+    assert with_bom._index[2] == frozenset()  # no document is left non-ASCII by its BOM
 
 
 def test_corpus_skips_subdirectories_and_follows_symlinks_to_files(tmp_path):
@@ -377,13 +376,10 @@ def test_ascii_word_table_tokenises_as_the_regex():
     for char in map(chr, range(128)):
         # The table's own rule: a \w character lowercased, any other one a space.
         word_char = char.lower() if _TOKEN.fullmatch(char) else " "
-        assert char.translate(_ASCII_WORDS) == word_char, repr(char)
         text = f"Ab{char}cD"
         expected = set(_TOKEN.findall(text.lower()))
-        assert set(text.translate(_ASCII_WORDS).split()) == expected, repr(char)
-        # The byte table is the same rule, byte for byte.
         byte = char.encode("ascii")
-        assert _ASCII_WORD_BYTES[ord(char)] == ord(_ASCII_WORDS[ord(char)]), repr(char)
+        assert _ASCII_WORD_BYTES[ord(char)] == ord(word_char), repr(char)
         assert byte.translate(_ASCII_WORD_BYTES) == word_char.encode("ascii"), repr(char)
         data = text.encode("ascii").translate(_ASCII_WORD_BYTES)
         assert {token.decode("ascii") for token in data.split()} == expected, repr(char)
@@ -449,7 +445,8 @@ def test_corpus_document_longer_than_three_reads_counts_as_its_whole_text(tmp_pa
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 29, 30, 31, 64, 65, 257])
 def test_corpus_counts_at_bitset_byte_and_digit_edges(tmp_path, m):
-    # Bitsets are built and walked a byte at a time and held as ints of 30-bit digits.  Every
+    # Corpus sizes at and around 8, 30, 64 and 256, with terms held only by the first or
+    # the last document, where an off-by-one in numbering the documents would show.  Every
     # third document is non-ASCII, so the index leaves it to the phrase pattern, as it does
     # every document for a phrase or a non-ASCII term.
     documents = []
