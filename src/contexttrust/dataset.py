@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -44,11 +44,6 @@ class ContextRatings:
 class TrustProfile:
     seller: str
     contexts: dict[str, ContextRatings]
-
-    @cached_property
-    def rates(self) -> dict[str, float]:
-        """Each context's aggregate, by context, in one plain map built at first use."""
-        return {context: ratings.aggregate for context, ratings in self.contexts.items()}
 
     def aggregate(self, context: str) -> float:
         if context not in self.contexts:

@@ -173,9 +173,9 @@ def run_comparison(
             profile = profiles.get(seller)
             if profile is None:
                 raise UnknownSellerError(f"no profile for seller {seller!r}")
-            rates = profile.rates
+            contexts = profile.contexts
             try:
-                real, known_rate = rates[unknown], rates[known]
+                real, known_rate = contexts[unknown].aggregate, contexts[known].aggregate
             except KeyError:  # aggregate names the missing context, the unknown one first
                 real, known_rate = profile.aggregate(unknown), profile.aggregate(known)
             if not RATE_MIN <= known_rate <= RATE_MAX:

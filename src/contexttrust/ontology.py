@@ -15,6 +15,7 @@ in one slot that a single assignment replaces: a race only bisects a pair again.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -50,8 +51,9 @@ class NodePath:
 
 def _check_label(name: str, head: bool) -> None:
     # Refuse what dump_tree cannot write back as the same tree: parse_tree splits fields
-    # at tabs and lines at line breaks, strips each field, and skips a line whose first
-    # field starts with '#'.  A head (a parent or a lone root) starts a dump_tree line.
+    # at tabs and lines at LF, CRLF and CR, strips each field, and skips a line whose first
+    # field starts with '#'.  Any other line break is refused too, as no label needs one.
+    # A head (a parent or a lone root) starts a dump_tree line.
     if not name.strip():
         raise TreeValidationError("node label is empty")
     if "\t" in name:
@@ -158,10 +160,11 @@ class OntologyTree:
 
 
 def parse_tree(text: str, source: str = "<string>") -> OntologyTree:
-    """Parse a tree document from text."""
+    """Parse a tree document from text.  A line ends at LF, CRLF or CR, as in a Python text
+    file; any other line break (form feed, U+2028, ...) stays inside its line."""
     edges: list[tuple[str, str, Optional[float]]] = []
     lone_roots: list[str] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

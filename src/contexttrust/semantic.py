@@ -10,6 +10,7 @@ weight in products.
 from __future__ import annotations
 
 import fcntl
+import io
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     ConfigError,
@@ -222,8 +223,9 @@ def _parse_counts_table(
     text: str, path: str | Path, table: dict[tuple[str, str], HitCounts], number: int
 ) -> int:
     """Add a pair-counts TSV's lines, numbered after ``number``, to table; return the last
-    number.  The cache file and static table share the format."""
-    for number, raw in enumerate(text.splitlines(), start=number + 1):
+    number.  The cache file and static table share the format.  A line ends at LF, CRLF
+    or CR, as in a Python text file; any other line break stays inside its line."""
+    for number, raw in enumerate(io.StringIO(text, newline=None), start=number + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -261,9 +263,10 @@ class StaticTableProvider(CountProvider):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StaticTableProvider":
-        table: dict[tuple[str, str], HitCounts] = {}
-        _parse_counts_table(decode_input(Path(path).read_bytes(), path, ConfigError), path, table, 0)
-        return cls(table)
+        provider = cls({})
+        text = decode_input(Path(path).read_bytes(), path, ConfigError)
+        _parse_counts_table(text, path, provider._table, 0)
+        return provider
 
     def counts(self, x: str, y: str) -> HitCounts:
         counts = _lookup(self._table, x, y)
@@ -341,15 +344,15 @@ class CorpusProvider(CountProvider):
         return texts, tokens, frozenset(non_ascii)
 
     def _docs_with(self, term: str) -> frozenset[int]:
+        """The numbers of the documents that hold ``term``, a term as ``_term`` returns it."""
         texts, tokens, non_ascii = self._index
-        lowered = term.lower()
-        words = _TOKEN.findall(lowered)
+        words = _TOKEN.findall(term)
         found, confirm = frozenset(), range(len(texts))
         if term.isascii() and words:
             # Every \w run of a match is a whole token of an ASCII document.
             first, *rest = (tokens.get(word.encode(), ()) for word in words)
             candidates = frozenset(first).intersection(*rest)
-            if len(words) == 1 and lowered.split() == words:
+            if len(words) == 1 and term.split() == words:
                 found, confirm = candidates, non_ascii
             else:
                 confirm = candidates | non_ascii
@@ -547,6 +550,8 @@ _REMOTE_KEYS = {
     "api_key_env": _text,
 }
 _EXTRACT_KEYS = {"json_path": _text, "regex": _text}
+# Every top-level key some provider kind reads; any other is a misspelling, and refused.
+_CONFIG_KEYS = {"kind", "table", "directory", "extract", *_REMOTE_KEYS}
 
 
 @dataclass(frozen=True)
@@ -566,6 +571,13 @@ def load_provider_config(path: str | Path) -> ProviderConfig:
         raise ConfigError(f"cannot read provider config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: provider config must be a JSON object")
+
+    def refuse_unknown(source: dict, known: Iterable[str], where: str) -> None:
+        unknown = ", ".join(map(repr, sorted(source.keys() - known)))
+        if unknown:
+            raise ConfigError(f"{path}: unknown {where}key {unknown}: no provider reads it")
+
+    refuse_unknown(raw, _CONFIG_KEYS, "")
     kind = raw.get("kind")
     if kind not in PROVIDER_KINDS:
         raise ConfigError(f"{path}: kind must be one of {PROVIDER_KINDS}, got {kind!r}")
@@ -584,6 +596,7 @@ def load_provider_config(path: str | Path) -> ProviderConfig:
     extract = raw.get("extract") or {}
     if not isinstance(extract, dict):
         raise ConfigError(f"{path}: 'extract' must be a JSON object, got {extract!r}")
+    refuse_unknown(extract, _EXTRACT_KEYS, "'extract' ")
     options = {
         key: read(source, key, convert)
         for source, keys in ((raw, _REMOTE_KEYS), (extract, _EXTRACT_KEYS))

@@ -15,6 +15,16 @@ from contexttrust.similarity import PathMode
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# An input file's bytes for its text as written with LF or CRLF line endings, or after a BOM.
+LINE_FORMS = {
+    "lf": lambda text: text.encode(),
+    "crlf": lambda text: text.replace("\n", "\r\n").encode(),
+    "bom": lambda text: ("\ufeff" + text).encode(),
+}
+# What str.splitlines breaks a line at besides LF, CRLF and CR; inside a line of an input
+# file each is a character like any other.
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 def reviews_to_csv(reviews) -> str:
     """Review CSV text, header first, each Review written as its tuple of fields."""

@@ -131,7 +131,6 @@ def test_context_ratings_keep_count_and_mean_only():
     profile = build_profiles({"s": reviews})["s"]
     assert profile.contexts["Books"] == ContextRatings(count=3, aggregate=11 / 3)
     assert profile.contexts["Toys"] == ContextRatings(count=1, aggregate=3.0)
-    assert profile.rates == {"Books": 11 / 3, "Toys": 3.0}
 
 
 def test_filter_keeps_context_at_exact_threshold():

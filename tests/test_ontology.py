@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    DATA_DIR,
+    LINE_FORMS,
+    OTHER_LINE_BREAKS,
     brute_force_root_set,
     brute_force_root_walk,
     brute_force_unique_path,
@@ -236,6 +239,29 @@ def test_tree_file_may_start_with_bom(tmp_path):
     tree = load_tree(path)
     assert tree.root == "Store"
     assert tree_nodes(tree) == {"Store", "Electronics", "Books"}
+
+
+@pytest.mark.parametrize("form", ["crlf", "bom"])
+def test_tree_file_reads_the_same_with_crlf_or_a_bom(tmp_path, form):
+    text = (DATA_DIR / "evalfix" / "store_tree.tsv").read_text(encoding="utf-8")
+    dumps = []
+    for name in ("lf", form):
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(LINE_FORMS[name](text))
+        dumps.append(dump_tree(load_tree(path)))
+    assert dumps[1] == dumps[0]
+    assert dumps[0].count("\n") == 6
+
+
+@pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+def test_only_lf_crlf_and_cr_end_a_tree_line(brk):
+    # The break is inside the comment, so the edge after it is part of the comment too.
+    tree = parse_tree(f"root\ta\n# dropped:{brk}root\tb\r\nroot\tc\rroot\td\n")
+    assert tree.parents == {"a": "root", "c": "root", "d": "root"}
+    with pytest.raises(TreeParseError, match="line 3: weight 'x'"):
+        parse_tree(f"root\ta\n# c{brk}\nroot\tb\tx\n")
+    with pytest.raises(TreeValidationError, match="line break inside"):
+        parse_tree(f"root\ta{brk}b\n")
 
 
 # --- path queries -----------------------------------------------------------

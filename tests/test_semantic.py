@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contexttrust
-from helpers import DATA_DIR, valid_hit_counts
+from helpers import DATA_DIR, LINE_FORMS, OTHER_LINE_BREAKS, valid_hit_counts
 from contexttrust import semantic
 from contexttrust.errors import (
     ConfigError,
@@ -535,6 +535,46 @@ def test_counts_table_accepts_a_pair_repeated_with_the_same_counts(tmp_path, kin
     assert COUNTS_LOOKUPS[kind](path)("b", "a") == HitCounts(2, 3, 1, 10)
 
 
+@pytest.mark.parametrize("form", ["crlf", "bom"])
+@pytest.mark.parametrize("kind", COUNTS_LOOKUPS)
+def test_counts_table_reads_the_same_with_crlf_or_a_bom(tmp_path, kind, form):
+    text = (DATA_DIR / "evalfix" / "counts.tsv").read_text(encoding="utf-8")
+    pairs = [line.split("\t")[:2] for line in text.splitlines() if not line.startswith("#")]
+    lookups = []
+    for name in ("lf", form):
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(LINE_FORMS[name](text))
+        lookups.append(COUNTS_LOOKUPS[kind](path))
+    assert len(pairs) == 6
+    for x, y in pairs:
+        assert lookups[1](x, y) == lookups[0](x, y) is not None, (x, y)
+
+
+@pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+@pytest.mark.parametrize("kind", COUNTS_LOOKUPS)
+def test_only_lf_crlf_and_cr_end_a_counts_table_line(tmp_path, kind, brk):
+    # The break is inside the comment, so the counts after it are part of the comment too.
+    path = tmp_path / "counts.tsv"
+    path.write_text(f"# c{brk}a\tb\t9\t9\t9\t10\na\tb\t3\t2\t1\t10\r\n", encoding="utf-8")
+    assert COUNTS_LOOKUPS[kind](path)("a", "b") == HitCounts(3, 2, 1, 10)
+    path.write_text(f"# c{brk}\na\tb\t3\t2\t1\t10\nc\td\t1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 3: expected 6"):
+        COUNTS_LOOKUPS[kind](path)
+    path.write_text(f"a{brk}b\tc\t3\t2\t1\t10\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 1: term .* line break inside"):
+        COUNTS_LOOKUPS[kind](path)
+
+
+def test_cache_appends_after_crlf_lines(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"a\tb\t3\t2\t1\t10\r\nc\td\t4\t4\t4\t10\r\n")
+    PairCache(path).put("e", "f", HitCounts(5, 5, 5, 10))
+    reloaded = PairCache(path)
+    assert [reloaded.get(x, y) for x, y in ("ab", "cd", "ef")] == [
+        HitCounts(3, 2, 1, 10), HitCounts(4, 4, 4, 10), HitCounts(5, 5, 5, 10)
+    ]
+
+
 def test_static_table_from_a_dict_keys_pairs_as_lookups_do():
     provider = StaticTableProvider({("laptop", "Computer"): HitCounts(5, 9, 2, 10)})
     assert provider.counts("laptop", "computer") == HitCounts(5, 9, 2, 10)
@@ -868,7 +908,7 @@ def test_cached_provider_survives_source_removal(tiny_corpus, tmp_path):
 
 @pytest.mark.parametrize("term", ["a\tb", "a\nb", "a\r\nb", "a\u2028b", "  ", "#tag"])
 def test_cached_provider_refuses_a_term_no_cache_line_can_hold(tmp_path, term):
-    # A cache line is tab-separated and read with splitlines, and a "#" line is a
+    # A cache line is tab-separated and ends at a line break, and a "#" line is a
     # comment; such a term would write a line that every later load rejects or skips.
     path = tmp_path / "cache.tsv"
     path.write_text("a\tb\t3\t2\t1\t10\n", encoding="utf-8")
@@ -1222,6 +1262,14 @@ def test_config_ignores_keys_of_other_kinds(tmp_path):
     assert make_provider(load_provider_config(config_path)).counts("a", "b") == HitCounts(1, 1, 1, 10)
 
 
+def test_config_ignores_the_extract_keys_of_a_static_config(tmp_path):
+    # 'extract' belongs to the remote kind, so a static config reads none of its keys.
+    config_path = tmp_path / "p.json"
+    payload = {"kind": "static", "table": "t.tsv", "extract": {"jsonpath": "m"}}
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_provider_config(config_path).options == {"table": tmp_path / "t.tsv"}
+
+
 def test_remote_config_env_credential(tmp_path, monkeypatch):
     config_path = tmp_path / "p.json"
     config_path.write_text(
@@ -1285,6 +1333,14 @@ def test_remote_config_env_credential(tmp_path, monkeypatch):
           "extract": {"json_path": "n"}}, "'retries'"),
         ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10, "interval_ms": 1.9,
           "extract": {"json_path": "n"}}, "'interval_ms'"),
+        # A misspelt key would otherwise leave its option at the default: no pacing, 3 retries.
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10, "interval": 1000,
+          "extract": {"json_path": "n"}}, "unknown key 'interval'"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10, "retry": 5,
+          "Retries": 5, "extract": {"json_path": "n"}}, "unknown key 'Retries', 'retry'"),
+        ({"kind": "static", "table": "t.tsv", "tabel": "u.tsv"}, "unknown key 'tabel'"),
+        ({"kind": "remote", "endpoint": "https://e.test/s?q={query}", "m": 10,
+          "extract": {"json_path": "n", "jsonpath": "m"}}, "unknown 'extract' key 'jsonpath'"),
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, payload, message):
